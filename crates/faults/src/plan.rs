@@ -128,12 +128,6 @@ impl SbiFaultPlan {
         self.counts
     }
 
-    /// The installed config.
-    #[must_use]
-    pub fn config(&self) -> FaultConfig {
-        self.cfg
-    }
-
     /// One decision for one message. Always draws the same three chances
     /// in the same order, so the schedule depends only on message *count*,
     /// not on which faults happened to fire earlier.

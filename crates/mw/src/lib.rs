@@ -81,7 +81,7 @@ pub use breaker::{
 pub use deadline::DeadlineLayer;
 pub use fault::{FaultLayer, FaultSwitch};
 pub use obs::{ObsCore, ObsCoreHandle, ObsLayer};
-pub use retry::{RetryLayer, RetryPolicy, RetryStats, RetryStatsHandle};
+pub use retry::{retryable, RetryLayer, RetryPolicy, RetryStats, RetryStatsHandle};
 pub use stack::{Layer, Resume, Stack};
 
 // Re-exported so stack construction sites need only this crate plus the

@@ -126,9 +126,12 @@ struct RetryState {
 }
 
 /// Whether a response is worth retransmitting for: transport-level 5xx
-/// (including injected faults and supervision-timeout 504s), but never
-/// a call-loop cut — re-sending into a loop can only loop again.
-fn retryable(resp: &HttpResponse) -> bool {
+/// (including injected faults, sheds and supervision-timeout 504s), but
+/// never a call-loop cut — re-sending into a loop can only loop again.
+/// The one predicate behind both [`RetryLayer`] and the open-loop
+/// client in `shield5g-scale`.
+#[must_use]
+pub fn retryable(resp: &HttpResponse) -> bool {
     resp.status >= 500 && resp.header(ERROR_HEADER) != Some("loop")
 }
 

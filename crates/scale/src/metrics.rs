@@ -1,10 +1,10 @@
 //! Per-pool observability: the figures a scaling experiment reports.
 //!
-//! Everything here is computed from ground truth — admission counters in
-//! the queues, served counts on the replicas, and real SGX transition
-//! counter deltas read from each replica's own enclave — then summarised
-//! with [`shield5g_core::stats::Summary`] like every other experiment in
-//! the workspace.
+//! Everything here is computed from ground truth — admission counters of
+//! the replica endpoints, served counts on the replicas, and real SGX
+//! transition counter deltas read from each replica's own enclave — then
+//! summarised with [`shield5g_core::stats::Summary`] like every other
+//! experiment in the workspace.
 
 use crate::avcache::CacheStats;
 use crate::pool::EnclavePool;
@@ -77,17 +77,6 @@ impl PoolReport {
             0.0
         } else {
             eenter as f64 / self.served as f64
-        }
-    }
-
-    /// Mean AEX per served request across the pool.
-    #[must_use]
-    pub fn aex_per_served(&self) -> f64 {
-        let aex: u64 = self.per_replica.iter().map(|r| r.aex_delta).sum();
-        if self.served == 0 {
-            0.0
-        } else {
-            aex as f64 / self.served as f64
         }
     }
 
@@ -170,6 +159,7 @@ pub struct RunRecorder {
     response_samples: Vec<SimDuration>,
     queued_samples: Vec<SimDuration>,
     first_arrival: Option<SimTime>,
+    last_arrival: Option<SimTime>,
     last_finish: Option<SimTime>,
     arrivals: u64,
     shed: u64,
@@ -188,6 +178,7 @@ impl RunRecorder {
         if self.first_arrival.is_none() {
             self.first_arrival = Some(at);
         }
+        self.last_arrival = Some(at);
     }
 
     /// Records a served request's timing.
@@ -205,18 +196,15 @@ impl RunRecorder {
         self.shed += 1;
     }
 
-    /// Requests served so far.
-    #[must_use]
-    pub fn served_count(&self) -> u64 {
-        self.response_samples.len() as u64
-    }
-
-    /// Finalises the report against the pool's per-replica state. A run
-    /// that served nothing (e.g. 100% shed under fault injection) yields
-    /// empty summaries and zero throughput rather than panicking.
+    /// Finalises the report against the pool's per-replica state. The
+    /// rates span first arrival to last completion; a run that served
+    /// nothing (e.g. 100% shed under fault injection) spans first to last
+    /// arrival instead, and yields empty summaries and zero throughput
+    /// rather than panicking.
     #[must_use]
     pub fn finish(self, pool: &EnclavePool, cache: Option<CacheStats>) -> PoolReport {
-        let span = match (self.first_arrival, self.last_finish) {
+        let end = self.last_finish.or(self.last_arrival);
+        let span = match (self.first_arrival, end) {
             (Some(a), Some(f)) if f > a => f - a,
             _ => SimDuration::from_nanos(1),
         };
@@ -379,12 +367,6 @@ impl RecoveryTracker {
         });
     }
 
-    /// Faults injected so far.
-    #[must_use]
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-
     /// Finalises the stats. `retry` is the `(first attempts,
     /// retransmissions)` pair from the supervision timers. Faults never
     /// followed by a success count into `mttr_max` as unrecovered-at-end
@@ -448,10 +430,11 @@ mod tests {
         r.served(t(5), SimDuration::from_millis(2), t(20));
         r.arrival(t(6));
         r.shed();
-        assert_eq!(r.served_count(), 2);
+        assert_eq!(r.response_samples.len(), 2);
         assert_eq!(r.arrivals, 3);
         assert_eq!(r.shed, 1);
         assert_eq!(r.first_arrival, Some(t(0)));
+        assert_eq!(r.last_arrival, Some(t(6)));
         assert_eq!(r.last_finish, Some(t(20)));
     }
 
@@ -490,7 +473,6 @@ mod tests {
         };
         assert!((report.shed_fraction() - 0.2).abs() < 1e-9);
         assert!((report.eenter_per_served() - 96.0).abs() < 1e-9);
-        assert!((report.aex_per_served() - 0.5).abs() < 1e-9);
         assert!(report.to_string().contains("EENTER/req"));
     }
 
@@ -505,7 +487,7 @@ mod tests {
         r.fault(t(40));
         r.fault(t(50));
         r.success(t(100)); // resolves both: 60 ms and 50 ms
-        assert_eq!(r.faults(), 3);
+        assert_eq!(r.faults, 3);
         let stats = r.finish((100, 25));
         assert_eq!(stats.faults, 3);
         assert_eq!(stats.failed, 1);
