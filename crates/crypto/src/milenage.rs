@@ -110,20 +110,22 @@ impl Milenage {
         self.aes.encrypt_block_copy(&t)
     }
 
-    /// `OUT_i = E_K(rot(TEMP ⊕ OPc, r_i) ⊕ c_i) ⊕ OPc` for i in 2..=5.
-    fn out_i(&self, temp: &[u8; 16], i: usize) -> [u8; 16] {
-        debug_assert!((2..=5).contains(&i));
+    /// `OUT_i = E_K(rot(TEMP ⊕ OPc, r_i) ⊕ c_i) ⊕ OPc` for i in 2..=5,
+    /// all four from one four-block cipher pass.
+    fn out_2345(&self, temp: &[u8; 16]) -> [[u8; 16]; 4] {
         let opc = self.opc.expose();
-        let mut x = [0u8; 16];
-        let rot = ROT[i - 1];
-        for j in 0..16 {
-            x[j] = temp[(j + rot) % 16] ^ opc[(j + rot) % 16];
+        let mut blocks = [0u8; 64];
+        for (x, i) in blocks.chunks_exact_mut(16).zip(2..=5) {
+            let rot = ROT[i - 1];
+            for j in 0..16 {
+                x[j] = temp[(j + rot) % 16] ^ opc[(j + rot) % 16];
+            }
+            x[15] ^= C_LAST_BYTE[i - 1];
         }
-        x[15] ^= C_LAST_BYTE[i - 1];
-        let mut out = self.aes.encrypt_block_copy(&x);
-        for (o, p) in out.iter_mut().zip(opc.iter()) {
-            *o ^= p;
-        }
+        self.aes.encrypt4(&mut blocks);
+        let out = std::array::from_fn(|i| std::array::from_fn(|j| blocks[16 * i + j] ^ opc[j]));
+        use crate::secret::Zeroize;
+        blocks.zeroize();
         out
     }
 
@@ -171,10 +173,7 @@ impl Milenage {
     /// `f2`, `f3`, `f4`, `f5` computed together from one RAND.
     #[must_use]
     pub fn f2345(&self, rand: &[u8; 16]) -> F2345Output {
-        let temp = self.temp(rand);
-        let out2 = self.out_i(&temp, 2);
-        let out3 = self.out_i(&temp, 3);
-        let out4 = self.out_i(&temp, 4);
+        let [out2, out3, out4, _] = self.out_2345(&self.temp(rand));
         F2345Output {
             res: out2[8..16].try_into().expect("8-byte slice"),
             ck: SecretBytes::new(out3),
@@ -186,8 +185,9 @@ impl Milenage {
     /// `f5*`: the re-synchronisation anonymity key AK (48 bits).
     #[must_use]
     pub fn f5_star(&self, rand: &[u8; 16]) -> [u8; 6] {
-        let temp = self.temp(rand);
-        self.out_i(&temp, 5)[0..6].try_into().expect("6-byte slice")
+        self.out_2345(&self.temp(rand))[3][0..6]
+            .try_into()
+            .expect("6-byte slice")
     }
 }
 

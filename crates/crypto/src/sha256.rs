@@ -109,12 +109,16 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len * 8;
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros up to 56 mod 64, 64-bit big-endian bit
+        // length — spilling into a second block when fewer than 9 bytes
+        // of the buffer are free.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; 64];
         }
-        // Write the length directly into the buffer and compress.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);

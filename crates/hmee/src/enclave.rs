@@ -13,7 +13,7 @@ use crate::epc::{EncryptedPage, EpcRegion, EpcSnapshot};
 use crate::platform::SgxPlatform;
 use crate::HmeeError;
 use shield5g_crypto::aes::Aes128;
-use shield5g_crypto::hmac::hmac_sha256;
+use shield5g_crypto::hmac::HmacSha256;
 use shield5g_crypto::sha256::Sha256;
 use shield5g_obs::hub as obs;
 use shield5g_obs::span::SpanKind;
@@ -160,7 +160,7 @@ impl EnclaveBuilder {
             mrsigner,
             debug: self.debug,
             epc_cipher: Aes128::new(&enc_key),
-            epc_mac_key: platform.derive_key("epc-mac", &epc_context),
+            epc_mac: HmacSha256::new(&platform.derive_key("epc-mac", &epc_context)),
             report_key: platform.report_key(),
             seal_base: platform.derive_key("seal-base", &mrsigner),
             cost,
@@ -180,7 +180,7 @@ impl EnclaveBuilder {
 }
 
 /// Metadata for one named vault slot.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct SlotMeta {
     page_indices: Vec<usize>,
     len: usize,
@@ -193,7 +193,8 @@ pub struct Enclave {
     mrsigner: [u8; 32],
     debug: bool,
     epc_cipher: Aes128,
-    epc_mac_key: [u8; 32],
+    /// The EPC page MAC, keyed once at build; cloned for every page.
+    epc_mac: HmacSha256,
     report_key: [u8; 32],
     seal_base: [u8; 32],
     cost: CostModel,
@@ -571,7 +572,7 @@ impl Enclave {
                 page.version
             )));
         }
-        let expected_tag = Self::page_tag(&self.epc_mac_key, page.version, &page.ciphertext);
+        let expected_tag = self.page_tag(page.version, &page.ciphertext);
         if !shield5g_crypto::ct_eq(&expected_tag, &page.tag) {
             return Err(HmeeError::IntegrityViolation(format!(
                 "page {index} failed MAC on reload"
@@ -617,7 +618,7 @@ impl Enclave {
             let mut nonce = [0u8; 16];
             nonce[..8].copy_from_slice(&version.to_be_bytes());
             self.epc_cipher.ctr_apply(&nonce, &mut page);
-            let tag = Self::page_tag(&self.epc_mac_key, version, &page);
+            let tag = self.page_tag(version, &page);
             let idx = self.epc.push_page(EncryptedPage {
                 ciphertext: page,
                 tag,
@@ -640,6 +641,10 @@ impl Enclave {
 
     /// Reads and decrypts a vault slot, verifying integrity.
     ///
+    /// Every page's MAC is checked over the full page, but only the bytes
+    /// the slot holds are decrypted. The virtual clock is charged per
+    /// page, as the MEE would be.
+    ///
     /// # Errors
     ///
     /// * [`HmeeError::UnknownSlot`] when nothing was written under `slot`.
@@ -654,15 +659,14 @@ impl Enclave {
         let meta = self
             .vault
             .get(slot)
-            .ok_or_else(|| HmeeError::UnknownSlot(slot.to_owned()))?
-            .clone();
+            .ok_or_else(|| HmeeError::UnknownSlot(slot.to_owned()))?;
         let mut out = Vec::with_capacity(meta.len);
         for &idx in &meta.page_indices {
             let page = self
                 .epc
                 .page(idx)
                 .ok_or_else(|| HmeeError::IntegrityViolation("page vanished".into()))?;
-            let expected = Self::page_tag(&self.epc_mac_key, page.version, &page.ciphertext);
+            let expected = self.page_tag(page.version, &page.ciphertext);
             if !shield5g_crypto::ct_eq(&expected, &page.tag) {
                 return Err(HmeeError::IntegrityViolation(format!(
                     "slot {slot:?} page {idx} failed EPCM verification"
@@ -670,11 +674,11 @@ impl Enclave {
             }
             let mut nonce = [0u8; 16];
             nonce[..8].copy_from_slice(&page.version.to_be_bytes());
-            let mut plain = page.ciphertext.clone();
-            self.epc_cipher.ctr_apply(&nonce, &mut plain);
-            out.extend_from_slice(&plain);
+            let start = out.len();
+            let take = (meta.len - start).min(PAGE_SIZE);
+            out.extend_from_slice(&page.ciphertext[..take]);
+            self.epc_cipher.ctr_apply(&nonce, &mut out[start..]);
         }
-        out.truncate(meta.len);
         let pages = meta.page_indices.len() as u64;
         env.clock
             .advance(self.cost.cycles(pages * PAGE_SIZE as u64 / 2));
@@ -689,11 +693,13 @@ impl Enclave {
         v
     }
 
-    fn page_tag(mac_key: &[u8; 32], version: u64, ciphertext: &[u8]) -> [u8; 32] {
-        let mut input = Vec::with_capacity(8 + ciphertext.len());
-        input.extend_from_slice(&version.to_be_bytes());
-        input.extend_from_slice(ciphertext);
-        hmac_sha256(mac_key, &input)
+    /// HMAC-SHA-256 of `version ‖ ciphertext` under the enclave's EPC MAC
+    /// key, streamed from the pre-keyed state.
+    fn page_tag(&self, version: u64, ciphertext: &[u8]) -> [u8; 32] {
+        let mut mac = self.epc_mac.clone();
+        mac.update(&version.to_be_bytes());
+        mac.update(ciphertext);
+        mac.finalize()
     }
 
     /// **Attacker interface**: what memory introspection sees.
@@ -773,9 +779,11 @@ mod tests {
     fn vault_multi_page_values() {
         let (mut env, platform) = world();
         let mut e = small_enclave(&mut env, &platform);
-        let big: Vec<u8> = (0..3 * PAGE_SIZE + 17).map(|i| (i % 251) as u8).collect();
-        e.vault_write(&mut env, "big", &big);
-        assert_eq!(e.vault_read(&mut env, "big").unwrap(), big);
+        for len in [2 * PAGE_SIZE + 17, 3 * PAGE_SIZE + 17, PAGE_SIZE] {
+            let big: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            e.vault_write(&mut env, "big", &big);
+            assert_eq!(e.vault_read(&mut env, "big").unwrap(), big, "length {len}");
+        }
     }
 
     #[test]
@@ -808,14 +816,34 @@ mod tests {
 
     #[test]
     fn tampering_detected_on_read() {
+        // Bytes past the slot's 16 are never decrypted, but the MAC still
+        // covers the whole page.
+        for byte in [3, 16, 100, PAGE_SIZE - 1] {
+            let (mut env, platform) = world();
+            let mut e = small_enclave(&mut env, &platform);
+            e.vault_write(&mut env, "k", b"sixteen byte key");
+            assert!(e.epc_tamper(0, byte));
+            assert!(
+                matches!(
+                    e.vault_read(&mut env, "k"),
+                    Err(HmeeError::IntegrityViolation(_))
+                ),
+                "byte {byte}"
+            );
+        }
+    }
+
+    #[test]
+    fn short_read_is_charged_a_full_page() {
         let (mut env, platform) = world();
         let mut e = small_enclave(&mut env, &platform);
-        e.vault_write(&mut env, "k", b"secret");
-        assert!(e.epc_tamper(0, 3));
-        assert!(matches!(
-            e.vault_read(&mut env, "k"),
-            Err(HmeeError::IntegrityViolation(_))
-        ));
+        e.vault_write(&mut env, "k", b"sixteen byte key");
+        let before = env.clock.now();
+        assert_eq!(e.vault_read(&mut env, "k").unwrap(), b"sixteen byte key");
+        assert_eq!(
+            env.clock.now() - before,
+            e.cost().cycles(PAGE_SIZE as u64 / 2)
+        );
     }
 
     #[test]
@@ -905,7 +933,7 @@ mod tests {
     fn evict_reload_round_trip() {
         let (mut env, platform) = world();
         let mut e = small_enclave(&mut env, &platform);
-        e.vault_write(&mut env, "k", b"evictable secret");
+        e.vault_write(&mut env, "k", b"evictable secret!");
         let blob = e.evict_page(&mut env, 0).unwrap();
         // While evicted, reads fail closed.
         assert!(matches!(
@@ -913,7 +941,7 @@ mod tests {
             Err(HmeeError::IntegrityViolation(_))
         ));
         e.reload_page(&mut env, 0, blob).unwrap();
-        assert_eq!(e.vault_read(&mut env, "k").unwrap(), b"evictable secret");
+        assert_eq!(e.vault_read(&mut env, "k").unwrap(), b"evictable secret!");
         assert_eq!(e.counters().ewb, 1);
         assert_eq!(e.counters().eldu, 1);
     }

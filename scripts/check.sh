@@ -40,6 +40,13 @@ cargo build --offline --workspace
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
+echo "==> build the criterion micro benches and perfbench (never run by the gate otherwise)"
+# Both call the crypto primitives (Aes128, Sha256) and the enclave vault
+# directly, so an API change that breaks them must fail here.
+cargo bench --offline --no-run -p shield5g-bench --features criterion \
+  --bench micro_crypto --bench micro_enclave
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> bench smoke (pool_scaling + ablation_optimizations + fault_sweep + degradation_sweep, one rep)"
 # Absolute SHIELD5G_OBS_DIR (exported above): cargo runs bench binaries
 # with the *package* directory as cwd, so a relative artifact dir would
