@@ -69,16 +69,6 @@ pub fn write_obs_artifact(name: &str, contents: &str) {
     }
 }
 
-/// Emits a machine-readable `BENCH_<name>.json` perf-point document —
-/// one object per measured configuration (`points` are pre-rendered JSON
-/// objects, e.g. from [`shield5g_obs::export::JsonObj`]).
-pub fn emit_bench_json(name: &str, points: &[String]) {
-    write_obs_artifact(
-        &format!("BENCH_{name}.json"),
-        &export::bench_json(name, points),
-    );
-}
-
 /// Emits a `BENCH_<name>.json` document whose trailing `"runner"` line
 /// carries the sweep runner's wall-time/threads/speedup block — the one
 /// line excluded from thread-count byte-identity comparisons.

@@ -8,10 +8,12 @@
 //! `shield5g-ran`.
 
 use crate::paka::{paka_image, populate_registry, PakaKind, PakaModule, SgxConfig};
+use crate::remote::PakaClient;
 use crate::stats::Summary;
 use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_hmee::platform::SgxPlatform;
+use shield5g_infra::bridge::BridgeNetwork;
 use shield5g_infra::host::Host;
 use shield5g_infra::image::Registry;
 use shield5g_libos::gsc::{transform, ImageSpec};
@@ -21,6 +23,8 @@ use shield5g_nf::backend::{AmfAkaRequest, AusfAkaRequest, UdmAkaRequest};
 use shield5g_sim::http::HttpRequest;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const SUPI: &str = "imsi-001010000000001";
 const K: [u8; 16] = [0x46; 16];
@@ -101,6 +105,16 @@ pub fn deploy_module(seed: u64, kind: PakaKind, deployment: ModuleDeployment) ->
         module.provision_subscriber_key(&mut env, SUPI, K);
     }
     (env, module)
+}
+
+/// The VNF-side client a harness experiment reaches `module` through
+/// (`vnf.oai` over its own `br-oai` bridge).
+fn vnf_client(module: PakaModule) -> PakaClient {
+    PakaClient::new(
+        Rc::new(RefCell::new(module)),
+        Rc::new(RefCell::new(BridgeNetwork::new("br-oai"))),
+        "vnf.oai",
+    )
 }
 
 /// **Figure 7**: enclave load time per P-AKA module.
@@ -310,14 +324,7 @@ pub fn measure_response_times(
     reps: u32,
 ) -> (SimDuration, Vec<SimDuration>) {
     let (mut env, module) = deploy_module(seed, kind, deployment);
-    let bridge = std::rc::Rc::new(std::cell::RefCell::new(
-        shield5g_infra::bridge::BridgeNetwork::new("br-oai"),
-    ));
-    let mut client = crate::remote::PakaClient::new(
-        std::rc::Rc::new(std::cell::RefCell::new(module)),
-        bridge,
-        "vnf.oai",
-    );
+    let mut client = vnf_client(module);
     let request = standard_request(kind);
     for _ in 0..=reps {
         client
@@ -479,14 +486,7 @@ pub fn ablation_optimizations(base_seed: u64, reps: u32) -> Vec<AblationRow> {
         ModuleDeployment::Sgx(SgxConfig::default()),
     );
     module.set_userspace_net(true);
-    let bridge = std::rc::Rc::new(std::cell::RefCell::new(
-        shield5g_infra::bridge::BridgeNetwork::new("br-oai"),
-    ));
-    let mut client = crate::remote::PakaClient::new(
-        std::rc::Rc::new(std::cell::RefCell::new(module)),
-        bridge,
-        "vnf.oai",
-    );
+    let mut client = vnf_client(module);
     let request = standard_request(PakaKind::EUdm);
     for _ in 0..=reps {
         client
@@ -516,8 +516,7 @@ pub struct ConcurrencyRow {
 /// Registers a freshly deployed module as a discrete-event endpoint on
 /// its own engine (worker count = the module's serving-thread budget) and
 /// returns `(env, engine)` ready for scheduled arrivals.
-#[must_use]
-pub fn module_engine(
+fn module_engine(
     seed: u64,
     kind: PakaKind,
     deployment: ModuleDeployment,
@@ -525,14 +524,7 @@ pub fn module_engine(
     let (mut env, mut module) = deploy_module(seed, kind, deployment);
     let _ = module.serve(&mut env, standard_request(kind)); // warm
     let workers = module.app_threads();
-    let bridge = std::rc::Rc::new(std::cell::RefCell::new(
-        shield5g_infra::bridge::BridgeNetwork::new("br-oai"),
-    ));
-    let client = crate::remote::PakaClient::new(
-        std::rc::Rc::new(std::cell::RefCell::new(module)),
-        bridge,
-        "vnf.oai",
-    );
+    let client = vnf_client(module);
     let mut engine = shield5g_sim::engine::Engine::new();
     engine.register(
         kind.endpoint(),

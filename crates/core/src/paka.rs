@@ -16,7 +16,6 @@
 use crate::CoreError;
 use shield5g_crypto::keys::generate_he_av;
 use shield5g_crypto::milenage::Milenage;
-use shield5g_crypto::sqn::Auts;
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_infra::host::{ContainerHandle, Host};
 use shield5g_infra::image::{ContainerImage, Registry};
@@ -26,7 +25,7 @@ use shield5g_libos::manifest::Manifest;
 use shield5g_libos::syscalls::{NativeSyscalls, Syscall, SyscallInterface};
 use shield5g_nf::backend::{
     batch_rand, encode_he_av, encode_he_av_batch, sqn_add, AmfAkaRequest, AusfAkaRequest,
-    AusfAkaResponse, UdmAkaBatchRequest, UdmAkaRequest, MAX_AV_BATCH,
+    AusfAkaResponse, UdmAkaBatchRequest, UdmAkaRequest, UdmResyncRequest, MAX_AV_BATCH,
 };
 use shield5g_nf::NfError;
 use shield5g_sim::http::{HttpRequest, HttpResponse};
@@ -566,18 +565,10 @@ impl PakaModule {
                 Ok(encode_he_av_batch(&avs))
             }
             (PakaKind::EUdm, "/eudm/resync") => {
-                let mut r = shield5g_sim::codec::Reader::new(body);
-                let supi = r.str()?;
-                let opc: [u8; 16] = r.array()?;
-                let rand: [u8; 16] = r.array()?;
-                let auts = Auts {
-                    sqn_ms_xor_ak: r.array()?,
-                    mac_s: r.array()?,
-                };
-                r.finish()?;
-                let k = self.load_subscriber_key(env, &supi)?;
-                let mil = Milenage::with_opc(&k, &opc);
-                let sqn_ms = auts.verify(&mil, &rand)?;
+                let req = UdmResyncRequest::decode(body)?;
+                let k = self.load_subscriber_key(env, &req.supi)?;
+                let mil = Milenage::with_opc(&k, req.opc.expose());
+                let sqn_ms = req.auts.verify(&mil, &req.rand)?;
                 Ok(sqn_ms.to_vec())
             }
             (PakaKind::EAusf, "/eausf/derive-se") => {
@@ -1216,14 +1207,13 @@ mod tests {
         let mil = Milenage::with_opc(&K, &OPC);
         let rand = [0x23; 16];
         let sqn_ms = [0, 0, 0, 0, 2, 5];
-        let auts = Auts::generate(&mil, &rand, &sqn_ms);
-        let mut w = shield5g_sim::codec::Writer::new();
-        w.put_str(SUPI)
-            .put_array(&OPC)
-            .put_array(&rand)
-            .put_array(&auts.sqn_ms_xor_ak)
-            .put_array(&auts.mac_s);
-        let (resp, _) = module.serve(&mut env, HttpRequest::post("/eudm/resync", w.into_bytes()));
+        let req = UdmResyncRequest {
+            supi: SUPI.into(),
+            opc: OPC.into(),
+            rand,
+            auts: shield5g_crypto::sqn::Auts::generate(&mil, &rand, &sqn_ms),
+        };
+        let (resp, _) = module.serve(&mut env, HttpRequest::post("/eudm/resync", req.encode()));
         assert!(resp.is_success());
         assert_eq!(resp.body, sqn_ms.to_vec());
     }

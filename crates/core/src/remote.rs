@@ -1,24 +1,23 @@
-//! Offload backends: the VNF side of the P-AKA split.
+//! Offload backend: the VNF side of the P-AKA split.
 //!
 //! Paper §IV-A: "the VNFs offload the sensitive functionality to their
 //! respective external AKA modules", communicating "over TLS using REST
-//! APIs via the OAI Docker bridge". [`PakaClient`] is that path: it
-//! charges the VNF-side connection work, carries genuinely TLS-encrypted
-//! records across the (tappable) bridge, and measures the response time
-//! `R` exactly as §V-A2 experiment 4 defines it — "from when a request is
-//! sent to the P-AKA module (i.e., from the OAI VNF) until the reception
-//! of a response".
+//! APIs via the OAI Docker bridge". [`PakaClient`] is that path and the
+//! remote backend of all three modules: it charges the VNF-side
+//! connection work, carries genuinely TLS-encrypted records across the
+//! (tappable) bridge, and measures the response time `R` exactly as
+//! §V-A2 experiment 4 defines it — "from when a request is sent to the
+//! P-AKA module (i.e., from the OAI VNF) until the reception of a
+//! response".
 
-use crate::paka::{PakaKind, PakaModule, ServeMetrics};
+use crate::paka::{PakaKind, PakaModule};
 use crate::CoreError;
 use shield5g_crypto::keys::HeAv;
 use shield5g_crypto::secret::SecretBytes;
-use shield5g_crypto::sqn::Auts;
 use shield5g_infra::bridge::BridgeNetwork;
-use shield5g_nf::backend::BackendOp;
 use shield5g_nf::backend::{
     decode_he_av, AmfAkaBackend, AmfAkaRequest, AusfAkaBackend, AusfAkaRequest, AusfAkaResponse,
-    UdmAkaBackend, UdmAkaRequest,
+    BackendOp, UdmAkaBackend, UdmAkaRequest, UdmResyncRequest,
 };
 use shield5g_nf::NfError;
 use shield5g_sim::http::{HttpRequest, HttpResponse};
@@ -26,7 +25,6 @@ use shield5g_sim::service::Service;
 use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::tls::{establish, TlsIdentity, TlsSession};
 use shield5g_sim::Env;
-use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -67,14 +65,6 @@ impl ModuleMetricsLog {
         self.total.clear();
         self.paged = 0;
     }
-}
-
-/// Continuation token for a split [`PakaClient::begin_call`] /
-/// [`PakaClient::finish_call`] pair.
-#[derive(Clone, Copy, Debug)]
-pub struct CallToken {
-    /// When the VNF issued the request (anchors the R measurement).
-    t0: SimTime,
 }
 
 /// The module side of the offload path as a discrete-event endpoint: a
@@ -216,17 +206,10 @@ impl PakaClient {
 
     /// First half of an offloaded call: charges the VNF-side client work,
     /// carries the handshake and the sealed request record across the
-    /// bridge, and returns the engine destination, the request to yield as
-    /// a `CallOut`, and the [`CallToken`] the matching [`Self::finish_call`]
-    /// needs.
-    pub fn begin_call(
-        &mut self,
-        env: &mut Env,
-        path: &str,
-        body: Vec<u8>,
-    ) -> (String, HttpRequest, CallToken) {
+    /// bridge, and returns the request with the instant it was sent.
+    fn begin_call(&mut self, env: &mut Env, path: &str, body: Vec<u8>) -> (HttpRequest, SimTime) {
         let kind = self.module.borrow().kind();
-        let t0 = env.clock.now();
+        let sent_at = env.clock.now();
 
         // VNF-side client work (TLS handshake crypto, socket setup).
         env.clock
@@ -242,8 +225,8 @@ impl PakaClient {
         }
 
         // The request record: genuinely encrypted on the wire.
-        let request = HttpRequest::post(path, body);
-        let request_bytes = request.to_bytes();
+        let req = HttpRequest::post(path, body);
+        let request_bytes = req.to_bytes();
         let record = {
             let (client_sess, _) = self.sessions(env);
             client_sess.seal(&request_bytes)
@@ -252,21 +235,28 @@ impl PakaClient {
             .borrow_mut()
             .carry(env, &self.vnf_name, endpoint, &record);
 
-        (endpoint.to_owned(), request, CallToken { t0 })
+        (req, sent_at)
+    }
+
+    /// A backend operation on the module: the sealed request for the NF
+    /// to yield as a `CallOut` to the module's engine endpoint.
+    fn offload<T>(&mut self, env: &mut Env, path: &str, body: Vec<u8>) -> BackendOp<T> {
+        let (req, sent_at) = self.begin_call(env, path, body);
+        BackendOp::Call {
+            dest: self.module.borrow().kind().endpoint().to_owned(),
+            req,
+            sent_at,
+        }
     }
 
     /// Second half of an offloaded call: carries the sealed response record
     /// back across the bridge, charges the client-side read path, logs the
     /// response time R, and maps module failures.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Module`] for non-2xx module responses.
-    pub fn finish_call(
+    fn finish_call(
         &mut self,
         env: &mut Env,
+        sent_at: SimTime,
         resp: HttpResponse,
-        token: CallToken,
     ) -> Result<Vec<u8>, CoreError> {
         let kind = self.module.borrow().kind();
         let endpoint = kind.endpoint();
@@ -287,7 +277,7 @@ impl PakaClient {
         self.metrics
             .borrow_mut()
             .response_times
-            .push(env.clock.now() - token.t0);
+            .push(env.clock.now() - sent_at);
         if resp.is_success() {
             Ok(resp.body)
         } else {
@@ -300,48 +290,19 @@ impl PakaClient {
     }
 
     /// One offloaded call: returns the response body and logs R/L_F/L_T.
-    /// The synchronous form used by the direct-characterization harness
+    /// The inline form used by the direct-characterization harness
     /// (§V-A2 experiments 1–3 measure the module in isolation, with no
-    /// engine contention in the path).
+    /// engine contention in the path): the module's endpoint serves the
+    /// request in place of an engine leg.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Module`] for non-2xx module responses.
     pub fn call(&mut self, env: &mut Env, path: &str, body: Vec<u8>) -> Result<Vec<u8>, CoreError> {
-        let (_dest, request, token) = self.begin_call(env, path, body);
-
-        // Module serves inline (its own choreography charges the clock).
-        let (resp, serve_metrics) = self.module.borrow_mut().serve(env, request);
-        {
-            let mut m = self.metrics.borrow_mut();
-            m.functional.push(serve_metrics.functional);
-            m.total.push(serve_metrics.total);
-            m.paged += serve_metrics.paged;
-        }
-
-        self.finish_call(env, resp, token)
+        let (req, sent_at) = self.begin_call(env, path, body);
+        let resp = self.endpoint().handle(env, req);
+        self.finish_call(env, sent_at, resp)
     }
-
-    /// Last serve metrics convenience (None before any call).
-    #[must_use]
-    pub fn last_serve_metrics(&self) -> Option<ServeMetrics> {
-        let m = self.metrics.borrow();
-        match (m.functional.last(), m.total.last()) {
-            (Some(&functional), Some(&total)) => Some(ServeMetrics {
-                functional,
-                total,
-                paged: 0,
-            }),
-            _ => None,
-        }
-    }
-}
-
-fn downcast_token(token: Box<dyn Any>) -> Result<CallToken, NfError> {
-    token
-        .downcast::<CallToken>()
-        .map(|t| *t)
-        .map_err(|_| NfError::Backend("foreign backend continuation token".into()))
 }
 
 fn to_nf_error(e: CoreError) -> NfError {
@@ -363,242 +324,65 @@ fn to_nf_error(e: CoreError) -> NfError {
     }
 }
 
-/// UDM backend that offloads to the eUDM P-AKA module.
-pub struct RemoteUdmAka {
-    client: PakaClient,
-}
-
-impl RemoteUdmAka {
-    /// Wraps a client pointed at an eUDM module.
-    #[must_use]
-    pub fn new(client: PakaClient) -> Self {
-        RemoteUdmAka { client }
-    }
-
-    /// The underlying client's metric log.
-    #[must_use]
-    pub fn metrics(&self) -> Rc<RefCell<ModuleMetricsLog>> {
-        self.client.metrics()
-    }
-}
-
-impl UdmAkaBackend for RemoteUdmAka {
-    fn generate_av(&mut self, env: &mut Env, req: &UdmAkaRequest) -> Result<HeAv, NfError> {
-        let body = self
-            .client
-            .call(env, "/eudm/generate-av", req.encode())
-            .map_err(to_nf_error)?;
-        decode_he_av(&body)
-    }
-
-    fn resynchronise(
-        &mut self,
-        env: &mut Env,
-        supi: &str,
-        opc: &[u8; 16],
-        rand: &[u8; 16],
-        auts: &Auts,
-    ) -> Result<[u8; 6], NfError> {
-        let mut w = shield5g_sim::codec::Writer::new();
-        w.put_str(supi)
-            .put_array(opc)
-            .put_array(rand)
-            .put_array(&auts.sqn_ms_xor_ak)
-            .put_array(&auts.mac_s);
-        let body = self
-            .client
-            .call(env, "/eudm/resync", w.into_bytes())
-            .map_err(to_nf_error)?;
-        body.try_into()
-            .map_err(|_| NfError::Backend("bad resync response length".into()))
-    }
-
-    fn begin_generate_av(&mut self, env: &mut Env, req: &UdmAkaRequest) -> BackendOp<HeAv> {
-        let (dest, request, token) = self
-            .client
-            .begin_call(env, "/eudm/generate-av", req.encode());
-        BackendOp::Call {
-            dest,
-            req: request,
-            token: Box::new(token),
-        }
+impl UdmAkaBackend for PakaClient {
+    fn generate_av(&mut self, env: &mut Env, req: &UdmAkaRequest) -> BackendOp<HeAv> {
+        self.offload(env, "/eudm/generate-av", req.encode())
     }
 
     fn finish_generate_av(
         &mut self,
         env: &mut Env,
-        token: Box<dyn Any>,
+        sent_at: SimTime,
         resp: HttpResponse,
     ) -> Result<HeAv, NfError> {
-        let token = downcast_token(token)?;
-        let body = self
-            .client
-            .finish_call(env, resp, token)
-            .map_err(to_nf_error)?;
+        let body = self.finish_call(env, sent_at, resp).map_err(to_nf_error)?;
         decode_he_av(&body)
     }
 
-    fn begin_resynchronise(
-        &mut self,
-        env: &mut Env,
-        supi: &str,
-        opc: &[u8; 16],
-        rand: &[u8; 16],
-        auts: &Auts,
-    ) -> BackendOp<[u8; 6]> {
-        let mut w = shield5g_sim::codec::Writer::new();
-        w.put_str(supi)
-            .put_array(opc)
-            .put_array(rand)
-            .put_array(&auts.sqn_ms_xor_ak)
-            .put_array(&auts.mac_s);
-        let (dest, request, token) = self.client.begin_call(env, "/eudm/resync", w.into_bytes());
-        BackendOp::Call {
-            dest,
-            req: request,
-            token: Box::new(token),
-        }
+    fn resynchronise(&mut self, env: &mut Env, req: &UdmResyncRequest) -> BackendOp<[u8; 6]> {
+        self.offload(env, "/eudm/resync", req.encode())
     }
 
     fn finish_resynchronise(
         &mut self,
         env: &mut Env,
-        token: Box<dyn Any>,
+        sent_at: SimTime,
         resp: HttpResponse,
     ) -> Result<[u8; 6], NfError> {
-        let token = downcast_token(token)?;
-        let body = self
-            .client
-            .finish_call(env, resp, token)
-            .map_err(to_nf_error)?;
+        let body = self.finish_call(env, sent_at, resp).map_err(to_nf_error)?;
         body.try_into()
             .map_err(|_| NfError::Backend("bad resync response length".into()))
     }
 }
 
-/// AUSF backend that offloads to the eAUSF P-AKA module.
-pub struct RemoteAusfAka {
-    client: PakaClient,
-}
-
-impl RemoteAusfAka {
-    /// Wraps a client pointed at an eAUSF module.
-    #[must_use]
-    pub fn new(client: PakaClient) -> Self {
-        RemoteAusfAka { client }
-    }
-
-    /// The underlying client's metric log.
-    #[must_use]
-    pub fn metrics(&self) -> Rc<RefCell<ModuleMetricsLog>> {
-        self.client.metrics()
-    }
-}
-
-impl AusfAkaBackend for RemoteAusfAka {
-    fn derive_se(
-        &mut self,
-        env: &mut Env,
-        req: &AusfAkaRequest,
-    ) -> Result<AusfAkaResponse, NfError> {
-        let body = self
-            .client
-            .call(env, "/eausf/derive-se", req.encode())
-            .map_err(to_nf_error)?;
-        AusfAkaResponse::decode(&body)
-    }
-
-    fn begin_derive_se(
-        &mut self,
-        env: &mut Env,
-        req: &AusfAkaRequest,
-    ) -> BackendOp<AusfAkaResponse> {
-        let (dest, request, token) = self
-            .client
-            .begin_call(env, "/eausf/derive-se", req.encode());
-        BackendOp::Call {
-            dest,
-            req: request,
-            token: Box::new(token),
-        }
+impl AusfAkaBackend for PakaClient {
+    fn derive_se(&mut self, env: &mut Env, req: &AusfAkaRequest) -> BackendOp<AusfAkaResponse> {
+        self.offload(env, "/eausf/derive-se", req.encode())
     }
 
     fn finish_derive_se(
         &mut self,
         env: &mut Env,
-        token: Box<dyn Any>,
+        sent_at: SimTime,
         resp: HttpResponse,
     ) -> Result<AusfAkaResponse, NfError> {
-        let token = downcast_token(token)?;
-        let body = self
-            .client
-            .finish_call(env, resp, token)
-            .map_err(to_nf_error)?;
+        let body = self.finish_call(env, sent_at, resp).map_err(to_nf_error)?;
         AusfAkaResponse::decode(&body)
     }
 }
 
-/// AMF backend that offloads to the eAMF P-AKA module.
-pub struct RemoteAmfAka {
-    client: PakaClient,
-}
-
-impl RemoteAmfAka {
-    /// Wraps a client pointed at an eAMF module.
-    #[must_use]
-    pub fn new(client: PakaClient) -> Self {
-        RemoteAmfAka { client }
-    }
-
-    /// The underlying client's metric log.
-    #[must_use]
-    pub fn metrics(&self) -> Rc<RefCell<ModuleMetricsLog>> {
-        self.client.metrics()
-    }
-}
-
-impl AmfAkaBackend for RemoteAmfAka {
-    fn derive_kamf(
-        &mut self,
-        env: &mut Env,
-        req: &AmfAkaRequest,
-    ) -> Result<SecretBytes<32>, NfError> {
-        let body = self
-            .client
-            .call(env, "/eamf/derive-kamf", req.encode())
-            .map_err(to_nf_error)?;
-        let kamf: [u8; 32] = body
-            .try_into()
-            .map_err(|_| NfError::Backend("bad kamf response length".into()))?;
-        Ok(SecretBytes::new(kamf))
-    }
-
-    fn begin_derive_kamf(
-        &mut self,
-        env: &mut Env,
-        req: &AmfAkaRequest,
-    ) -> BackendOp<SecretBytes<32>> {
-        let (dest, request, token) = self
-            .client
-            .begin_call(env, "/eamf/derive-kamf", req.encode());
-        BackendOp::Call {
-            dest,
-            req: request,
-            token: Box::new(token),
-        }
+impl AmfAkaBackend for PakaClient {
+    fn derive_kamf(&mut self, env: &mut Env, req: &AmfAkaRequest) -> BackendOp<SecretBytes<32>> {
+        self.offload(env, "/eamf/derive-kamf", req.encode())
     }
 
     fn finish_derive_kamf(
         &mut self,
         env: &mut Env,
-        token: Box<dyn Any>,
+        sent_at: SimTime,
         resp: HttpResponse,
     ) -> Result<SecretBytes<32>, NfError> {
-        let token = downcast_token(token)?;
-        let body = self
-            .client
-            .finish_call(env, resp, token)
-            .map_err(to_nf_error)?;
+        let body = self.finish_call(env, sent_at, resp).map_err(to_nf_error)?;
         let kamf: [u8; 32] = body
             .try_into()
             .map_err(|_| NfError::Backend("bad kamf response length".into()))?;
@@ -611,6 +395,7 @@ mod tests {
     use super::*;
     use crate::paka::{populate_registry, SgxConfig};
     use shield5g_crypto::keys::ServingNetworkName;
+    use shield5g_crypto::sqn::Auts;
     use shield5g_hmee::platform::SgxPlatform;
     use shield5g_infra::host::Host;
     use shield5g_infra::image::Registry;
@@ -639,6 +424,51 @@ mod tests {
         (env, client)
     }
 
+    type Finish<T> = fn(&mut PakaClient, &mut Env, SimTime, HttpResponse) -> Result<T, NfError>;
+
+    /// Drives one backend operation the way an NF does: a `Call` is
+    /// served by the module's engine endpoint and its response handed to
+    /// the matching `finish_*`.
+    fn drive<T>(
+        env: &mut Env,
+        client: &mut PakaClient,
+        op: BackendOp<T>,
+        finish: Finish<T>,
+    ) -> Result<T, NfError> {
+        match op {
+            BackendOp::Done(r) => r,
+            BackendOp::Call { dest, req, sent_at } => {
+                assert_eq!(dest, client.module().borrow().kind().endpoint());
+                let resp = client.endpoint().handle(env, req);
+                finish(client, env, sent_at, resp)
+            }
+        }
+    }
+
+    fn generate_av(
+        env: &mut Env,
+        client: &mut PakaClient,
+        req: &UdmAkaRequest,
+    ) -> Result<HeAv, NfError> {
+        let op = client.generate_av(env, req);
+        drive(env, client, op, PakaClient::finish_generate_av)
+    }
+
+    fn resynchronise(
+        env: &mut Env,
+        client: &mut PakaClient,
+        auts: Auts,
+    ) -> Result<[u8; 6], NfError> {
+        let req = UdmResyncRequest {
+            supi: SUPI.into(),
+            opc: OPC.into(),
+            rand: [0x23; 16],
+            auts,
+        };
+        let op = UdmAkaBackend::resynchronise(client, env, &req);
+        drive(env, client, op, PakaClient::finish_resynchronise)
+    }
+
     fn av_request() -> UdmAkaRequest {
         UdmAkaRequest {
             supi: SUPI.into(),
@@ -652,9 +482,8 @@ mod tests {
 
     #[test]
     fn remote_udm_backend_generates_av() {
-        let (mut env, client) = setup(true, PakaKind::EUdm);
-        let mut backend = RemoteUdmAka::new(client);
-        let av = backend.generate_av(&mut env, &av_request()).unwrap();
+        let (mut env, mut client) = setup(true, PakaKind::EUdm);
+        let av = generate_av(&mut env, &mut client, &av_request()).unwrap();
         let mil = shield5g_crypto::milenage::Milenage::with_opc(&K, &OPC);
         let snn = ServingNetworkName::new("001", "01");
         let ue =
@@ -664,16 +493,12 @@ mod tests {
 
     #[test]
     fn response_time_logged_and_sgx_slower() {
-        let (mut env_c, client_c) = setup(false, PakaKind::EUdm);
-        let (mut env_s, client_s) = setup(true, PakaKind::EUdm);
-        let mut bc = RemoteUdmAka::new(client_c);
-        let mut bs = RemoteUdmAka::new(client_s);
+        let (mut env_c, mut bc) = setup(false, PakaKind::EUdm);
+        let (mut env_s, mut bs) = setup(true, PakaKind::EUdm);
         // Warm both, then sample.
-        bc.generate_av(&mut env_c, &av_request()).unwrap();
-        bs.generate_av(&mut env_s, &av_request()).unwrap();
-        for _ in 0..20 {
-            bc.generate_av(&mut env_c, &av_request()).unwrap();
-            bs.generate_av(&mut env_s, &av_request()).unwrap();
+        for _ in 0..=20 {
+            generate_av(&mut env_c, &mut bc, &av_request()).unwrap();
+            generate_av(&mut env_s, &mut bs, &av_request()).unwrap();
         }
         let mc = bc.metrics();
         let ms = bs.metrics();
@@ -700,48 +525,43 @@ mod tests {
 
     #[test]
     fn module_error_propagates_as_subscriber_unknown() {
-        let (mut env, client) = setup(true, PakaKind::EUdm);
-        let mut backend = RemoteUdmAka::new(client);
+        let (mut env, mut client) = setup(true, PakaKind::EUdm);
         let mut req = av_request();
         req.supi = "imsi-001010000000042".into();
         assert!(matches!(
-            backend.generate_av(&mut env, &req),
+            generate_av(&mut env, &mut client, &req),
             Err(NfError::SubscriberUnknown(_))
         ));
     }
 
     #[test]
     fn remote_ausf_and_amf_backends() {
-        let (mut env, client) = setup(true, PakaKind::EAusf);
-        let mut ausf = RemoteAusfAka::new(client);
-        let resp = ausf
-            .derive_se(
-                &mut env,
-                &AusfAkaRequest {
-                    rand: [1; 16],
-                    xres_star: [2; 16],
-                    kausf: [3; 32].into(),
-                    snn: ServingNetworkName::new("001", "01"),
-                },
-            )
-            .unwrap();
+        let (mut env, mut ausf) = setup(true, PakaKind::EAusf);
+        let op = ausf.derive_se(
+            &mut env,
+            &AusfAkaRequest {
+                rand: [1; 16],
+                xres_star: [2; 16],
+                kausf: [3; 32].into(),
+                snn: ServingNetworkName::new("001", "01"),
+            },
+        );
+        let resp = drive(&mut env, &mut ausf, op, PakaClient::finish_derive_se).unwrap();
         assert_eq!(
             resp.hxres_star,
             shield5g_crypto::keys::derive_hxres_star(&[1; 16], &[2; 16])
         );
 
-        let (mut env2, client2) = setup(false, PakaKind::EAmf);
-        let mut amf = RemoteAmfAka::new(client2);
-        let kamf = amf
-            .derive_kamf(
-                &mut env2,
-                &AmfAkaRequest {
-                    kseaf: [4; 32].into(),
-                    supi: SUPI.into(),
-                    abba: [0, 0],
-                },
-            )
-            .unwrap();
+        let (mut env2, mut amf) = setup(false, PakaKind::EAmf);
+        let op = amf.derive_kamf(
+            &mut env2,
+            &AmfAkaRequest {
+                kseaf: [4; 32].into(),
+                supi: SUPI.into(),
+                abba: [0, 0],
+            },
+        );
+        let kamf = drive(&mut env2, &mut amf, op, PakaClient::finish_derive_kamf).unwrap();
         assert_eq!(
             kamf,
             shield5g_crypto::keys::derive_kamf(&[4; 32], SUPI, &[0, 0])
@@ -750,15 +570,24 @@ mod tests {
 
     #[test]
     fn remote_resync_round_trip() {
-        let (mut env, client) = setup(true, PakaKind::EUdm);
-        let mut backend = RemoteUdmAka::new(client);
+        let (mut env, mut client) = setup(true, PakaKind::EUdm);
         let mil = shield5g_crypto::milenage::Milenage::with_opc(&K, &OPC);
-        let rand = [0x23; 16];
         let sqn_ms = [0, 0, 0, 0, 3, 3];
-        let auts = Auts::generate(&mil, &rand, &sqn_ms);
-        let out = backend
-            .resynchronise(&mut env, SUPI, &OPC, &rand, &auts)
-            .unwrap();
-        assert_eq!(out, sqn_ms);
+        let auts = Auts::generate(&mil, &[0x23; 16], &sqn_ms);
+        assert_eq!(resynchronise(&mut env, &mut client, auts).unwrap(), sqn_ms);
+    }
+
+    #[test]
+    fn forged_auts_is_rejected_as_crypto_failure() {
+        let (mut env, mut client) = setup(true, PakaKind::EUdm);
+        let mil = shield5g_crypto::milenage::Milenage::with_opc(&K, &OPC);
+        let mut auts = Auts::generate(&mil, &[0x23; 16], &[0, 0, 0, 0, 3, 3]);
+        auts.mac_s[0] ^= 1;
+        // The module answers 403, which the client maps back to MAC-S
+        // failure rather than a generic backend error.
+        assert!(matches!(
+            resynchronise(&mut env, &mut client, auts),
+            Err(NfError::Crypto(_))
+        ));
     }
 }

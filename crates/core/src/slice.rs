@@ -13,7 +13,7 @@
 //! module/backend key tables, and [`Subscriber`] credentials for USIMs.
 
 use crate::paka::{populate_registry, PakaKind, PakaModule, SgxConfig};
-use crate::remote::{ModuleMetricsLog, PakaClient, RemoteAmfAka, RemoteAusfAka, RemoteUdmAka};
+use crate::remote::{ModuleMetricsLog, PakaClient};
 use crate::CoreError;
 use shield5g_crypto::ecies::HomeNetworkKeyPair;
 use shield5g_crypto::ident::{Plmn, Supi};
@@ -353,9 +353,9 @@ pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreErr
             }
             modules = deployed;
             (
-                Box::new(RemoteUdmAka::new(udm_client)),
-                Box::new(RemoteAusfAka::new(ausf_client)),
-                Box::new(RemoteAmfAka::new(amf_client)),
+                Box::new(udm_client),
+                Box::new(ausf_client),
+                Box::new(amf_client),
             )
         }
     };

@@ -247,12 +247,6 @@ impl Suci {
         let msin = bcd_decode(&msin_bcd)?;
         Supi::new(self.plmn.clone(), &msin)
     }
-
-    /// Size in bytes of the scheme output (used by the wire model).
-    #[must_use]
-    pub fn scheme_output_len(&self) -> usize {
-        self.scheme_output.len()
-    }
 }
 
 impl std::fmt::Display for Suci {

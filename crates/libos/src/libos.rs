@@ -14,7 +14,7 @@ use crate::LibosError;
 use shield5g_hmee::counters::SgxCounters;
 use shield5g_hmee::enclave::{Enclave, EnclaveBuilder};
 use shield5g_hmee::platform::SgxPlatform;
-use shield5g_sim::time::{SimDuration, SimTime};
+use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 
 /// Fixed OCALLs Gramine + glibc issue at boot besides trusted-file loads
@@ -59,7 +59,6 @@ pub struct GramineLibos {
     exitless: bool,
     stats: bool,
     boot_report: BootReport,
-    boot_time: SimTime,
 }
 
 impl std::fmt::Debug for GramineLibos {
@@ -161,7 +160,6 @@ impl GramineLibos {
             exitless: image.manifest.exitless,
             stats: image.manifest.stats,
             boot_report: report,
-            boot_time: env.clock.now(),
         })
     }
 
@@ -169,12 +167,6 @@ impl GramineLibos {
     #[must_use]
     pub fn boot_report(&self) -> BootReport {
         self.boot_report
-    }
-
-    /// The instant boot completed.
-    #[must_use]
-    pub fn boot_completed_at(&self) -> SimTime {
-        self.boot_time
     }
 
     /// Whether Gramine statistics collection is on (`stats` manifest key).

@@ -20,7 +20,7 @@ use shield5g_crypto::keys::derive_hxres_star;
 use shield5g_crypto::sqn::Auts;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
-use shield5g_sim::time::SimDuration;
+use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -627,17 +627,17 @@ impl AmfService {
                     supi: confirm.supi.clone(),
                     abba: ABBA,
                 };
-                match self.backend.begin_derive_kamf(env, &req) {
+                match self.backend.derive_kamf(env, &req) {
                     BackendOp::Done(kamf) => {
                         Ok(self.enter_security_mode(ran_ue_id, confirm.supi, kamf?.expose()))
                     }
-                    BackendOp::Call { dest, req, token } => Ok(Step::CallOut {
+                    BackendOp::Call { dest, req, sent_at } => Ok(Step::CallOut {
                         dest,
                         req,
                         state: Box::new(AmfFlow::AwaitKamf {
                             ran_ue_id,
                             supi: confirm.supi,
-                            token,
+                            sent_at,
                         }),
                     }),
                 }
@@ -645,9 +645,9 @@ impl AmfService {
             AmfFlow::AwaitKamf {
                 ran_ue_id,
                 supi,
-                token,
+                sent_at,
             } => {
-                let kamf = self.backend.finish_derive_kamf(env, token, resp)?;
+                let kamf = self.backend.finish_derive_kamf(env, sent_at, resp)?;
                 Ok(self.enter_security_mode(ran_ue_id, supi, kamf.expose()))
             }
             AmfFlow::AwaitSupiResolve {
@@ -708,7 +708,7 @@ enum AmfFlow {
     AwaitKamf {
         ran_ue_id: u64,
         supi: String,
-        token: Box<dyn Any>,
+        sent_at: SimTime,
     },
     /// Waiting for a UDM round that de-conceals the SUCI for a resync.
     AwaitSupiResolve {

@@ -16,7 +16,7 @@ use shield5g_crypto::keys::{HeAv, SeAv, ServingNetworkName};
 use shield5g_crypto::secret::SecretBytes;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
-use shield5g_sim::time::SimDuration;
+use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -175,7 +175,7 @@ enum AusfFlow {
     AwaitSe {
         supi: String,
         he_av: HeAv,
-        token: Box<dyn Any>,
+        sent_at: SimTime,
     },
     /// Waiting on the UDM's resync acknowledgement.
     AwaitUdmResync,
@@ -267,7 +267,7 @@ impl EngineService for AusfService {
                     kausf: he_av.kausf.clone(),
                     snn,
                 };
-                match self.backend.begin_derive_se(env, &aka_req) {
+                match self.backend.derive_se(env, &aka_req) {
                     BackendOp::Done(Ok(se)) => self.finish_authenticate(
                         env,
                         udm_resp.supi,
@@ -276,23 +276,25 @@ impl EngineService for AusfService {
                         se.kseaf,
                     ),
                     BackendOp::Done(Err(e)) => Step::Reply(Self::upstream_error(e)),
-                    BackendOp::Call { dest, req, token } => Step::CallOut {
+                    BackendOp::Call { dest, req, sent_at } => Step::CallOut {
                         dest,
                         req,
                         state: Box::new(AusfFlow::AwaitSe {
                             supi: udm_resp.supi,
                             he_av,
-                            token,
+                            sent_at,
                         }),
                     },
                 }
             }
-            AusfFlow::AwaitSe { supi, he_av, token } => {
-                match self.backend.finish_derive_se(env, token, resp) {
-                    Ok(se) => self.finish_authenticate(env, supi, &he_av, se.hxres_star, se.kseaf),
-                    Err(e) => Step::Reply(Self::upstream_error(e)),
-                }
-            }
+            AusfFlow::AwaitSe {
+                supi,
+                he_av,
+                sent_at,
+            } => match self.backend.finish_derive_se(env, sent_at, resp) {
+                Ok(se) => self.finish_authenticate(env, supi, &he_av, se.hxres_star, se.kseaf),
+                Err(e) => Step::Reply(Self::upstream_error(e)),
+            },
             AusfFlow::AwaitUdmResync => match self.client.receive(env, &self.udm_addr, resp) {
                 Ok(_) => Step::Reply(HttpResponse::ok(Vec::new())),
                 Err(e) => Step::Reply(Self::upstream_error(e)),

@@ -18,9 +18,8 @@ use shield5g_crypto::secret::SecretBytes;
 use shield5g_crypto::sqn::Auts;
 use shield5g_sim::codec::{Reader, Writer};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
-use shield5g_sim::time::SimDuration;
+use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
-use std::any::Any;
 use std::collections::BTreeMap;
 
 /// Native execution time of the UDM AKA function (AV generation) in the
@@ -108,14 +107,27 @@ fn parse_snn(s: &str) -> Result<ServingNetworkName, NfError> {
     Ok(ServingNetworkName::new(mcc, mnc))
 }
 
-/// Encodes an HE AV for the module wire.
-#[must_use]
-pub fn encode_he_av(av: &HeAv) -> Vec<u8> {
-    let mut w = Writer::new();
+fn put_he_av(w: &mut Writer, av: &HeAv) {
     w.put_array(&av.rand)
         .put_array(&av.autn)
         .put_array(&av.xres_star)
         .put_array(av.kausf.expose());
+}
+
+fn read_he_av(r: &mut Reader<'_>) -> Result<HeAv, NfError> {
+    Ok(HeAv {
+        rand: r.array()?,
+        autn: r.array()?,
+        xres_star: r.array()?,
+        kausf: SecretBytes::new(r.array()?),
+    })
+}
+
+/// Encodes an HE AV for the module wire.
+#[must_use]
+pub fn encode_he_av(av: &HeAv) -> Vec<u8> {
+    let mut w = Writer::new();
+    put_he_av(&mut w, av);
     w.into_bytes()
 }
 
@@ -126,12 +138,7 @@ pub fn encode_he_av(av: &HeAv) -> Vec<u8> {
 /// Returns [`NfError::Sim`] on framing violations.
 pub fn decode_he_av(bytes: &[u8]) -> Result<HeAv, NfError> {
     let mut r = Reader::new(bytes);
-    let av = HeAv {
-        rand: r.array()?,
-        autn: r.array()?,
-        xres_star: r.array()?,
-        kausf: SecretBytes::new(r.array()?),
-    };
+    let av = read_he_av(&mut r)?;
     r.finish()?;
     Ok(av)
 }
@@ -236,10 +243,7 @@ pub fn encode_he_av_batch(avs: &[HeAv]) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u32(avs.len() as u32);
     for av in avs {
-        w.put_array(&av.rand)
-            .put_array(&av.autn)
-            .put_array(&av.xres_star)
-            .put_array(av.kausf.expose());
+        put_he_av(&mut w, av);
     }
     w.into_bytes()
 }
@@ -258,15 +262,59 @@ pub fn decode_he_av_batch(bytes: &[u8]) -> Result<Vec<HeAv>, NfError> {
     }
     let mut avs = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        avs.push(HeAv {
-            rand: r.array()?,
-            autn: r.array()?,
-            xres_star: r.array()?,
-            kausf: SecretBytes::new(r.array()?),
-        });
+        avs.push(read_he_av(&mut r)?);
     }
     r.finish()?;
     Ok(avs)
+}
+
+/// Inputs to the UDM's AUTS re-synchronisation check: the subscriber
+/// (selects `K` inside the module), OPc, the RAND that failed at the USIM
+/// and the AUTS it returned.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UdmResyncRequest {
+    /// Subscriber identity.
+    pub supi: String,
+    /// Operator variant constant (zeroizes on drop).
+    pub opc: SecretBytes<16>,
+    /// The challenge the USIM rejected.
+    pub rand: [u8; 16],
+    /// The USIM's re-synchronisation token.
+    pub auts: Auts,
+}
+
+impl UdmResyncRequest {
+    /// Encodes to the module wire format.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_str(&self.supi)
+            .put_array(self.opc.expose())
+            .put_array(&self.rand)
+            .put_array(&self.auts.sqn_ms_xor_ak)
+            .put_array(&self.auts.mac_s);
+        w.into_bytes()
+    }
+
+    /// Decodes the module wire format.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NfError::Sim`] on framing violations.
+    pub fn decode(bytes: &[u8]) -> Result<Self, NfError> {
+        let mut r = Reader::new(bytes);
+        let req = UdmResyncRequest {
+            supi: r.str()?,
+            opc: SecretBytes::new(r.array()?),
+            rand: r.array()?,
+            auts: Auts {
+                sqn_ms_xor_ak: r.array()?,
+                mac_s: r.array()?,
+            },
+        };
+        r.finish()?;
+        Ok(req)
+    }
 }
 
 /// Inputs to the AUSF AKA computation — Table I eAUSF enclave inputs
@@ -416,15 +464,15 @@ impl AmfAkaRequest {
     }
 }
 
-/// First half of a two-phase backend operation.
+/// The one call shape of every backend operation.
 ///
 /// Under the discrete-event engine a backend that offloads to a remote
-/// P-AKA module cannot block on the round trip: `begin_*` either computes
-/// the result in place ([`BackendOp::Done`] — the local, in-process
-/// backends) or returns the sealed request for the host NF to yield as a
-/// `Step::CallOut` ([`BackendOp::Call`]); when the module's response event
-/// arrives, the NF hands it to the matching `finish_*` with the opaque
-/// `token`.
+/// P-AKA module cannot block on the round trip: an operation either
+/// computes the result in place ([`BackendOp::Done`] — the local,
+/// in-process backends) or returns the sealed request for the host NF to
+/// yield as a `Step::CallOut` ([`BackendOp::Call`]); when the module's
+/// response event arrives, the NF hands it to the matching `finish_*`
+/// together with `sent_at`.
 pub enum BackendOp<T> {
     /// Computed without a network round trip.
     Done(Result<T, NfError>),
@@ -434,8 +482,8 @@ pub enum BackendOp<T> {
         dest: String,
         /// The (already sealed and latency-charged) outbound request.
         req: HttpRequest,
-        /// Continuation state for the matching `finish_*`.
-        token: Box<dyn Any>,
+        /// When the VNF issued the request (anchors the response time R).
+        sent_at: SimTime,
     },
 }
 
@@ -459,73 +507,43 @@ fn no_call_pending<T>() -> Result<T, NfError> {
 
 /// The UDM's sensitive computation: HE AV generation and AUTS handling.
 pub trait UdmAkaBackend {
-    /// Generates the home-environment authentication vector.
+    /// Generates the home-environment authentication vector. A
+    /// [`BackendOp::Done`] error is [`NfError::SubscriberUnknown`] when no
+    /// `K` is provisioned for the SUPI.
+    fn generate_av(&mut self, env: &mut Env, req: &UdmAkaRequest) -> BackendOp<HeAv>;
+
+    /// Completes an earlier [`UdmAkaBackend::generate_av`] that returned
+    /// [`BackendOp::Call`].
     ///
     /// # Errors
     ///
-    /// Returns [`NfError::SubscriberUnknown`] when no `K` is provisioned
-    /// for the SUPI, or backend transport failures.
-    fn generate_av(&mut self, env: &mut Env, req: &UdmAkaRequest) -> Result<HeAv, NfError>;
-
-    /// Verifies an AUTS re-synchronisation token, returning `SQN_MS`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NfError::Crypto`] when MAC-S fails.
-    fn resynchronise(
-        &mut self,
-        env: &mut Env,
-        supi: &str,
-        opc: &[u8; 16],
-        rand: &[u8; 16],
-        auts: &Auts,
-    ) -> Result<[u8; 6], NfError>;
-
-    /// Two-phase form of [`UdmAkaBackend::generate_av`]. Local backends
-    /// complete in place; remote backends return the sealed module call.
-    fn begin_generate_av(&mut self, env: &mut Env, req: &UdmAkaRequest) -> BackendOp<HeAv> {
-        BackendOp::Done(self.generate_av(env, req))
-    }
-
-    /// Completes an earlier [`UdmAkaBackend::begin_generate_av`] that
-    /// returned [`BackendOp::Call`].
-    ///
-    /// # Errors
-    ///
-    /// As [`UdmAkaBackend::generate_av`]; the default (local backends
-    /// never call out) rejects the response.
+    /// Returns [`NfError::SubscriberUnknown`] for an unprovisioned SUPI,
+    /// or backend transport failures; the default (local backends never
+    /// call out) rejects the response.
     fn finish_generate_av(
         &mut self,
         _env: &mut Env,
-        _token: Box<dyn Any>,
+        _sent_at: SimTime,
         _resp: HttpResponse,
     ) -> Result<HeAv, NfError> {
         no_call_pending()
     }
 
-    /// Two-phase form of [`UdmAkaBackend::resynchronise`].
-    fn begin_resynchronise(
-        &mut self,
-        env: &mut Env,
-        supi: &str,
-        opc: &[u8; 16],
-        rand: &[u8; 16],
-        auts: &Auts,
-    ) -> BackendOp<[u8; 6]> {
-        BackendOp::Done(self.resynchronise(env, supi, opc, rand, auts))
-    }
+    /// Verifies an AUTS re-synchronisation token, yielding `SQN_MS`. A
+    /// [`BackendOp::Done`] error is [`NfError::Crypto`] when MAC-S fails.
+    fn resynchronise(&mut self, env: &mut Env, req: &UdmResyncRequest) -> BackendOp<[u8; 6]>;
 
-    /// Completes an earlier [`UdmAkaBackend::begin_resynchronise`] that
-    /// returned [`BackendOp::Call`].
+    /// Completes an earlier [`UdmAkaBackend::resynchronise`] that returned
+    /// [`BackendOp::Call`].
     ///
     /// # Errors
     ///
-    /// As [`UdmAkaBackend::resynchronise`]; the default rejects the
-    /// response.
+    /// Returns [`NfError::Crypto`] when MAC-S fails; the default rejects
+    /// the response.
     fn finish_resynchronise(
         &mut self,
         _env: &mut Env,
-        _token: Box<dyn Any>,
+        _sent_at: SimTime,
         _resp: HttpResponse,
     ) -> Result<[u8; 6], NfError> {
         no_call_pending()
@@ -535,35 +553,19 @@ pub trait UdmAkaBackend {
 /// The AUSF's sensitive computation: SE parameters from the HE AV.
 pub trait AusfAkaBackend {
     /// Derives HXRES* and K_SEAF.
+    fn derive_se(&mut self, env: &mut Env, req: &AusfAkaRequest) -> BackendOp<AusfAkaResponse>;
+
+    /// Completes an earlier [`AusfAkaBackend::derive_se`] that returned
+    /// [`BackendOp::Call`].
     ///
     /// # Errors
     ///
-    /// Returns backend transport failures.
-    fn derive_se(
-        &mut self,
-        env: &mut Env,
-        req: &AusfAkaRequest,
-    ) -> Result<AusfAkaResponse, NfError>;
-
-    /// Two-phase form of [`AusfAkaBackend::derive_se`].
-    fn begin_derive_se(
-        &mut self,
-        env: &mut Env,
-        req: &AusfAkaRequest,
-    ) -> BackendOp<AusfAkaResponse> {
-        BackendOp::Done(self.derive_se(env, req))
-    }
-
-    /// Completes an earlier [`AusfAkaBackend::begin_derive_se`] that
-    /// returned [`BackendOp::Call`].
-    ///
-    /// # Errors
-    ///
-    /// As [`AusfAkaBackend::derive_se`]; the default rejects the response.
+    /// Returns backend transport failures; the default rejects the
+    /// response.
     fn finish_derive_se(
         &mut self,
         _env: &mut Env,
-        _token: Box<dyn Any>,
+        _sent_at: SimTime,
         _resp: HttpResponse,
     ) -> Result<AusfAkaResponse, NfError> {
         no_call_pending()
@@ -573,36 +575,19 @@ pub trait AusfAkaBackend {
 /// The AMF's sensitive computation: K_AMF derivation.
 pub trait AmfAkaBackend {
     /// Derives K_AMF from K_SEAF.
+    fn derive_kamf(&mut self, env: &mut Env, req: &AmfAkaRequest) -> BackendOp<SecretBytes<32>>;
+
+    /// Completes an earlier [`AmfAkaBackend::derive_kamf`] that returned
+    /// [`BackendOp::Call`].
     ///
     /// # Errors
     ///
-    /// Returns backend transport failures.
-    fn derive_kamf(
-        &mut self,
-        env: &mut Env,
-        req: &AmfAkaRequest,
-    ) -> Result<SecretBytes<32>, NfError>;
-
-    /// Two-phase form of [`AmfAkaBackend::derive_kamf`].
-    fn begin_derive_kamf(
-        &mut self,
-        env: &mut Env,
-        req: &AmfAkaRequest,
-    ) -> BackendOp<SecretBytes<32>> {
-        BackendOp::Done(self.derive_kamf(env, req))
-    }
-
-    /// Completes an earlier [`AmfAkaBackend::begin_derive_kamf`] that
-    /// returned [`BackendOp::Call`].
-    ///
-    /// # Errors
-    ///
-    /// As [`AmfAkaBackend::derive_kamf`]; the default rejects the
+    /// Returns backend transport failures; the default rejects the
     /// response.
     fn finish_derive_kamf(
         &mut self,
         _env: &mut Env,
-        _token: Box<dyn Any>,
+        _sent_at: SimTime,
         _resp: HttpResponse,
     ) -> Result<SecretBytes<32>, NfError> {
         no_call_pending()
@@ -658,30 +643,22 @@ impl LocalUdmAka {
 }
 
 impl UdmAkaBackend for LocalUdmAka {
-    fn generate_av(&mut self, env: &mut Env, req: &UdmAkaRequest) -> Result<HeAv, NfError> {
-        let mil = self.milenage_for(&req.supi, req.opc.expose())?;
-        env.clock.advance(SimDuration::from_nanos(UDM_FUNC_NANOS));
-        Ok(keys::generate_he_av(
-            &mil,
-            &req.rand,
-            &req.sqn,
-            &req.amf_field,
-            &req.snn,
-        ))
+    fn generate_av(&mut self, env: &mut Env, req: &UdmAkaRequest) -> BackendOp<HeAv> {
+        BackendOp::Done(self.milenage_for(&req.supi, req.opc.expose()).map(|mil| {
+            env.clock.advance(SimDuration::from_nanos(UDM_FUNC_NANOS));
+            keys::generate_he_av(&mil, &req.rand, &req.sqn, &req.amf_field, &req.snn)
+        }))
     }
 
-    fn resynchronise(
-        &mut self,
-        env: &mut Env,
-        supi: &str,
-        opc: &[u8; 16],
-        rand: &[u8; 16],
-        auts: &Auts,
-    ) -> Result<[u8; 6], NfError> {
-        let mil = self.milenage_for(supi, opc)?;
-        env.clock
-            .advance(SimDuration::from_nanos(UDM_FUNC_NANOS / 2));
-        Ok(auts.verify(&mil, rand)?)
+    fn resynchronise(&mut self, env: &mut Env, req: &UdmResyncRequest) -> BackendOp<[u8; 6]> {
+        BackendOp::Done(
+            self.milenage_for(&req.supi, req.opc.expose())
+                .and_then(|mil| {
+                    env.clock
+                        .advance(SimDuration::from_nanos(UDM_FUNC_NANOS / 2));
+                    Ok(req.auts.verify(&mil, &req.rand)?)
+                }),
+        )
     }
 }
 
@@ -698,16 +675,12 @@ impl LocalAusfAka {
 }
 
 impl AusfAkaBackend for LocalAusfAka {
-    fn derive_se(
-        &mut self,
-        env: &mut Env,
-        req: &AusfAkaRequest,
-    ) -> Result<AusfAkaResponse, NfError> {
+    fn derive_se(&mut self, env: &mut Env, req: &AusfAkaRequest) -> BackendOp<AusfAkaResponse> {
         env.clock.advance(SimDuration::from_nanos(AUSF_FUNC_NANOS));
-        Ok(AusfAkaResponse {
+        BackendOp::Done(Ok(AusfAkaResponse {
             hxres_star: derive_hxres_star(&req.rand, &req.xres_star),
             kseaf: SecretBytes::new(derive_kseaf(req.kausf.expose(), &req.snn)),
-        })
+        }))
     }
 }
 
@@ -724,17 +697,13 @@ impl LocalAmfAka {
 }
 
 impl AmfAkaBackend for LocalAmfAka {
-    fn derive_kamf(
-        &mut self,
-        env: &mut Env,
-        req: &AmfAkaRequest,
-    ) -> Result<SecretBytes<32>, NfError> {
+    fn derive_kamf(&mut self, env: &mut Env, req: &AmfAkaRequest) -> BackendOp<SecretBytes<32>> {
         env.clock.advance(SimDuration::from_nanos(AMF_FUNC_NANOS));
-        Ok(SecretBytes::new(derive_kamf(
+        BackendOp::Done(Ok(SecretBytes::new(derive_kamf(
             req.kseaf.expose(),
             &req.supi,
             &req.abba,
-        )))
+        ))))
     }
 }
 
@@ -744,6 +713,15 @@ mod tests {
 
     fn snn() -> ServingNetworkName {
         ServingNetworkName::new("001", "01")
+    }
+
+    /// Unwraps an in-process backend's result; local backends never
+    /// call out.
+    fn done<T>(op: BackendOp<T>) -> Result<T, NfError> {
+        match op {
+            BackendOp::Done(r) => r,
+            BackendOp::Call { dest, .. } => panic!("local backend called out to {dest}"),
+        }
     }
 
     fn udm_request() -> UdmAkaRequest {
@@ -869,7 +847,7 @@ mod tests {
         let mut backend = LocalUdmAka::new();
         backend.provision("imsi-001010000000001", [0x46; 16]);
         let req = udm_request();
-        let av = backend.generate_av(&mut env, &req).unwrap();
+        let av = done(backend.generate_av(&mut env, &req)).unwrap();
         // UE side (same K/OPc) must accept.
         let mil = Milenage::with_opc(&[0x46; 16], &[0xcd; 16]);
         let ue =
@@ -882,7 +860,7 @@ mod tests {
         let mut env = Env::new(1);
         let mut backend = LocalUdmAka::new();
         assert!(matches!(
-            backend.generate_av(&mut env, &udm_request()),
+            done(backend.generate_av(&mut env, &udm_request())),
             Err(NfError::SubscriberUnknown(_))
         ));
     }
@@ -893,12 +871,12 @@ mod tests {
         let mut udm = LocalUdmAka::new();
         udm.provision("imsi-001010000000001", [0x46; 16]);
         let t0 = env.clock.now();
-        udm.generate_av(&mut env, &udm_request()).unwrap();
+        done(udm.generate_av(&mut env, &udm_request())).unwrap();
         assert_eq!((env.clock.now() - t0).as_nanos(), UDM_FUNC_NANOS);
 
         let mut ausf = LocalAusfAka::new();
         let t1 = env.clock.now();
-        ausf.derive_se(
+        done(ausf.derive_se(
             &mut env,
             &AusfAkaRequest {
                 rand: [0; 16],
@@ -906,20 +884,20 @@ mod tests {
                 kausf: [0; 32].into(),
                 snn: snn(),
             },
-        )
+        ))
         .unwrap();
         assert_eq!((env.clock.now() - t1).as_nanos(), AUSF_FUNC_NANOS);
 
         let mut amf = LocalAmfAka::new();
         let t2 = env.clock.now();
-        amf.derive_kamf(
+        done(amf.derive_kamf(
             &mut env,
             &AmfAkaRequest {
                 kseaf: [0; 32].into(),
                 supi: "s".into(),
                 abba: [0, 0],
             },
-        )
+        ))
         .unwrap();
         assert_eq!((env.clock.now() - t2).as_nanos(), AMF_FUNC_NANOS);
     }
@@ -932,11 +910,30 @@ mod tests {
         let mil = Milenage::with_opc(&[0x46; 16], &[0xcd; 16]);
         let rand = [0x23; 16];
         let sqn_ms = [0, 0, 0, 0, 1, 99];
-        let auts = Auts::generate(&mil, &rand, &sqn_ms);
-        let recovered = backend
-            .resynchronise(&mut env, "imsi-001010000000001", &[0xcd; 16], &rand, &auts)
-            .unwrap();
+        let req = UdmResyncRequest {
+            supi: "imsi-001010000000001".into(),
+            opc: [0xcd; 16].into(),
+            rand,
+            auts: Auts::generate(&mil, &rand, &sqn_ms),
+        };
+        let recovered = done(backend.resynchronise(&mut env, &req)).unwrap();
         assert_eq!(recovered, sqn_ms);
+    }
+
+    #[test]
+    fn resync_request_wire_round_trip() {
+        let mil = Milenage::with_opc(&[0x46; 16], &[0xcd; 16]);
+        let req = UdmResyncRequest {
+            supi: "imsi-001010000000001".into(),
+            opc: [0xcd; 16].into(),
+            rand: [0x23; 16],
+            auts: Auts::generate(&mil, &[0x23; 16], &[0, 0, 0, 0, 1, 99]),
+        };
+        let bytes = req.encode();
+        // supi (u32 length + 20) + OPc 16 + RAND 16 + SQN⊕AK 6 + MAC-S 8.
+        assert_eq!(bytes.len(), 4 + 20 + 16 + 16 + 6 + 8);
+        assert_eq!(UdmResyncRequest::decode(&bytes).unwrap(), req);
+        assert!(UdmResyncRequest::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]
@@ -949,5 +946,19 @@ mod tests {
         assert_eq!(keys.len(), 2);
         assert_eq!(keys[0].0, "imsi-001010000000001");
         assert_eq!(keys[0].1, [6; 16]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn backend_decoders_never_panic(bytes in proptest::collection::vec(0u8.., 0..96)) {
+            let _ = UdmAkaRequest::decode(&bytes);
+            let _ = UdmAkaBatchRequest::decode(&bytes);
+            let _ = UdmResyncRequest::decode(&bytes);
+            let _ = AusfAkaRequest::decode(&bytes);
+            let _ = AusfAkaResponse::decode(&bytes);
+            let _ = AmfAkaRequest::decode(&bytes);
+            let _ = decode_he_av(&bytes);
+            let _ = decode_he_av_batch(&bytes);
+        }
     }
 }

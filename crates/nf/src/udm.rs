@@ -6,7 +6,7 @@
 //! for the monolithic baseline, the eUDM P-AKA module in the paper's
 //! deployments) → return SUPI + HE AV to the AUSF.
 
-use crate::backend::{encode_he_av, BackendOp, UdmAkaBackend, UdmAkaRequest};
+use crate::backend::{encode_he_av, BackendOp, UdmAkaBackend, UdmAkaRequest, UdmResyncRequest};
 use crate::messages::UeIdentity;
 use crate::sbi::{
     ResyncRequest, SbiClient, UdmAuthGetRequest, UdmAuthGetResponse, UdrAuthDataRequest,
@@ -17,7 +17,7 @@ use shield5g_crypto::ecies::HomeNetworkKeyPair;
 use shield5g_crypto::keys::ServingNetworkName;
 use shield5g_sim::engine::{EngineService, LegMeta, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
-use shield5g_sim::time::SimDuration;
+use shield5g_sim::time::{SimDuration, SimTime};
 use shield5g_sim::Env;
 use std::any::Any;
 
@@ -58,12 +58,6 @@ impl UdmService {
             udr_addr: udr_addr.into(),
             backend,
         }
-    }
-
-    /// The home-network public key USIMs must be provisioned with.
-    #[must_use]
-    pub fn hn_public_key(&self) -> &[u8; 32] {
-        self.sidf_key.public()
     }
 
     /// The home-network key identifier.
@@ -176,13 +170,13 @@ impl UdmService {
             amf_field: auth_data.amf_field,
             snn: ServingNetworkName::new(&req.snn_mcc, &req.snn_mnc),
         };
-        match self.backend.begin_generate_av(env, &aka_req) {
+        match self.backend.generate_av(env, &aka_req) {
             BackendOp::Done(Ok(av)) => self.finish_av(env, supi, &av),
             BackendOp::Done(Err(e)) => Step::Reply(Self::auth_error(e)),
-            BackendOp::Call { dest, req, token } => Step::CallOut {
+            BackendOp::Call { dest, req, sent_at } => Step::CallOut {
                 dest,
                 req,
-                state: Box::new(UdmFlow::AwaitAv { supi, token }),
+                state: Box::new(UdmFlow::AwaitAv { supi, sent_at }),
             },
         }
     }
@@ -214,11 +208,11 @@ enum UdmFlow {
         supi: String,
     },
     /// Auth-data flow: waiting on the remote AKA module.
-    AwaitAv { supi: String, token: Box<dyn Any> },
+    AwaitAv { supi: String, sent_at: SimTime },
     /// Resync flow: waiting on the UDR subscription fetch (OPc for MAC-S).
     ResyncAuthData { req: ResyncRequest },
     /// Resync flow: waiting on the remote AKA module's AUTS verdict.
-    AwaitModuleResync { supi: String, token: Box<dyn Any> },
+    AwaitModuleResync { supi: String, sent_at: SimTime },
     /// Resync flow: waiting on the UDR SQN update.
     AwaitUdrResync { supi: String },
 }
@@ -279,8 +273,8 @@ impl EngineService for UdmService {
                 };
                 self.start_av(env, &req, supi, &body)
             }
-            UdmFlow::AwaitAv { supi, token } => {
-                match self.backend.finish_generate_av(env, token, resp) {
+            UdmFlow::AwaitAv { supi, sent_at } => {
+                match self.backend.finish_generate_av(env, sent_at, resp) {
                     Ok(av) => self.finish_av(env, supi, &av),
                     Err(e) => Step::Reply(Self::auth_error(e)),
                 }
@@ -294,25 +288,25 @@ impl EngineService for UdmService {
                     Ok(d) => d,
                     Err(e) => return Step::Reply(Self::resync_error(e)),
                 };
-                let supi = req.supi.clone();
-                match self.backend.begin_resynchronise(
-                    env,
-                    &req.supi,
-                    auth_data.opc.expose(),
-                    &req.rand,
-                    &req.auts,
-                ) {
+                let resync = UdmResyncRequest {
+                    supi: req.supi,
+                    opc: auth_data.opc,
+                    rand: req.rand,
+                    auts: req.auts,
+                };
+                let supi = resync.supi.clone();
+                match self.backend.resynchronise(env, &resync) {
                     BackendOp::Done(Ok(sqn_ms)) => self.push_resync(env, supi, sqn_ms),
                     BackendOp::Done(Err(e)) => Step::Reply(Self::resync_error(e)),
-                    BackendOp::Call { dest, req, token } => Step::CallOut {
+                    BackendOp::Call { dest, req, sent_at } => Step::CallOut {
                         dest,
                         req,
-                        state: Box::new(UdmFlow::AwaitModuleResync { supi, token }),
+                        state: Box::new(UdmFlow::AwaitModuleResync { supi, sent_at }),
                     },
                 }
             }
-            UdmFlow::AwaitModuleResync { supi, token } => {
-                match self.backend.finish_resynchronise(env, token, resp) {
+            UdmFlow::AwaitModuleResync { supi, sent_at } => {
+                match self.backend.finish_resynchronise(env, sent_at, resp) {
                     Ok(sqn_ms) => self.push_resync(env, supi, sqn_ms),
                     Err(e) => Step::Reply(Self::resync_error(e)),
                 }

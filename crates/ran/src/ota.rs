@@ -38,7 +38,8 @@ pub struct OtaReport {
 
 impl OtaReport {
     /// The SGX share of setup: paka time over total (§V-B4 reports 5.58 %
-    /// for the *added* SGX cost; [`sgx_share_of_setup`] computes that
+    /// for the *added* SGX cost;
+    /// [`SessionSetupComparison::sgx_share_of_setup`] computes that
     /// differential figure).
     #[must_use]
     pub fn paka_fraction(&self) -> f64 {

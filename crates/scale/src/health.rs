@@ -14,7 +14,7 @@
 //!
 //! The tracker is pure bookkeeping — the pool owns the ring, so ring
 //! surgery (and the never-empty-the-ring guard) lives in
-//! [`crate::pool::EnclavePool::note_outcome`]. Determinism: `BTreeMap`
+//! `EnclavePool::note_outcome`. Determinism: `BTreeMap`
 //! state, virtual time only, no RNG.
 
 use crate::router::ReplicaId;

@@ -77,17 +77,6 @@ impl DetRng {
         let factor = 1.0 + (t - 1.0) * spread;
         (base as f64 * factor).round() as u64
     }
-
-    /// A positively skewed sample: `base` with probability `1 - p_tail`,
-    /// otherwise `base * tail_factor` — models the occasional slow path
-    /// (scheduling, paging) behind outliers (<5 % in the paper §V-A).
-    pub fn skewed(&mut self, base: u64, p_tail: f64, tail_factor: f64) -> u64 {
-        if self.chance(p_tail) {
-            (base as f64 * tail_factor) as u64
-        } else {
-            base
-        }
-    }
 }
 
 #[cfg(test)]
@@ -153,15 +142,6 @@ mod tests {
     fn jitter_zero_spread_is_identity() {
         let mut r = DetRng::new(4);
         assert_eq!(r.jitter(12345, 0.0), 12345);
-    }
-
-    #[test]
-    fn skewed_tail_probability_roughly_holds() {
-        let mut r = DetRng::new(5);
-        let tails = (0..2000)
-            .filter(|_| r.skewed(100, 0.05, 10.0) > 100)
-            .count();
-        assert!((40..250).contains(&tails), "tail count {tails}");
     }
 
     #[test]

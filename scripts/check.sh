@@ -14,6 +14,11 @@ cargo clippy --offline --workspace --all-targets \
   --exclude serde --exclude serde_derive \
   -- -D warnings
 
+echo "==> cargo doc (broken or ambiguous intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps \
+  --exclude criterion --exclude proptest --exclude rand \
+  --exclude serde --exclude serde_derive
+
 # The lint step also writes a SARIF copy of its findings into the
 # observability dir so CI can upload it with the other artifacts; the
 # self-benchmark line (files scanned, wall time) goes to stderr.

@@ -10,7 +10,7 @@ use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig, Subscriber}
 use shield5g::crypto::ecies::HomeNetworkKeyPair;
 use shield5g::crypto::keys::ServingNetworkName;
 use shield5g::crypto::sqn::{sqn_from_bytes, sqn_to_bytes, SqnGenerator};
-use shield5g::nf::backend::{decode_he_av_batch, UdmAkaBatchRequest};
+use shield5g::nf::backend::{decode_he_av_batch, UdmAkaBatchRequest, UdmResyncRequest};
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::usim::{ChallengeOutcome, Usim};
 use shield5g::scale::avcache::{AvCache, AvCacheConfig};
@@ -161,16 +161,16 @@ fn pool_failover_resync_restores_the_av_stream() {
 
     // AUTS → the promoted replica's resync endpoint. It recovers SQN_MS
     // under the subscriber key it was provisioned with.
-    let mut w = shield5g::sim::codec::Writer::new();
-    w.put_str(&supi)
-        .put_array(&sub.opc)
-        .put_array(&stale.rand)
-        .put_array(&auts.sqn_ms_xor_ak)
-        .put_array(&auts.mac_s);
+    let resync = UdmResyncRequest {
+        supi: supi.clone(),
+        opc: sub.opc.into(),
+        rand: stale.rand,
+        auts,
+    };
     let (resp, _, _) = pool.serve_on(
         &mut env,
         survivor,
-        HttpRequest::post("/eudm/resync", w.into_bytes()),
+        HttpRequest::post("/eudm/resync", resync.encode()),
     );
     assert!(
         resp.is_success(),
