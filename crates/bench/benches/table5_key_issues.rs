@@ -32,7 +32,6 @@ fn main() {
     ] {
         println!("    --- {} deployment ---", deployment.label());
         let mut env = Env::new(1600);
-        env.log.disable();
         let mut slice = build_slice(
             &mut env,
             &SliceConfig {

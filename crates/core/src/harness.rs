@@ -87,7 +87,6 @@ pub fn standard_request(kind: PakaKind) -> HttpRequest {
 #[must_use]
 pub fn deploy_module(seed: u64, kind: PakaKind, deployment: ModuleDeployment) -> (Env, PakaModule) {
     let mut env = Env::new(seed);
-    env.log.disable();
     let mut registry = Registry::new();
     populate_registry(&mut registry);
     let platform = SgxPlatform::new(&mut env);
@@ -417,7 +416,6 @@ pub fn table3_sgx_metrics(base_seed: u64, max_ues: u32) -> (Vec<Table3Row>, SgxC
 #[must_use]
 pub fn empty_workload_counters(seed: u64) -> SgxCounters {
     let mut env = Env::new(seed);
-    env.log.disable();
     let platform = SgxPlatform::new(&mut env);
     let image = ImageSpec::synthetic("empty-workload", "/gramine/app", 1_900_000_000, 209)
         .with_working_set(2 * 1024 * 1024);

@@ -278,7 +278,6 @@ mod tests {
 
     fn run(deployment: AkaDeployment) -> Vec<Demonstration> {
         let mut env = Env::new(37);
-        env.log.disable();
         let mut slice = build_slice(
             &mut env,
             &SliceConfig {

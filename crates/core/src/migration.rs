@@ -164,7 +164,7 @@ pub fn migrate_module(
     env.log.record(
         env.clock.now(),
         "slice",
-        format!(
+        format_args!(
             "migrated {} to host {} ({keys_transferred} keys)",
             kind.name(),
             target.name()
@@ -187,7 +187,6 @@ mod tests {
 
     fn sgx_slice(seed: u64) -> (Env, Slice) {
         let mut env = Env::new(seed);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {
@@ -262,7 +261,6 @@ mod tests {
     #[test]
     fn monolithic_slice_has_nothing_to_migrate() {
         let mut env = Env::new(63);
-        env.log.disable();
         let mut slice = build_slice(
             &mut env,
             &SliceConfig {
@@ -291,7 +289,6 @@ mod tests {
     #[test]
     fn attest_module_rejects_container_deployment() {
         let mut env = Env::new(64);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {

@@ -907,7 +907,6 @@ mod tests {
 
     fn deploy(shielded: bool, kind: PakaKind) -> (Env, PakaModule) {
         let mut env = Env::new(17);
-        env.log.disable();
         let reg = registry();
         let platform = SgxPlatform::new(&mut env);
         let mut host = Host::with_sgx("r450", platform);

@@ -427,7 +427,7 @@ pub fn build_slice(env: &mut Env, config: &SliceConfig) -> Result<Slice, CoreErr
     env.log.record(
         env.clock.now(),
         "slice",
-        format!(
+        format_args!(
             "slice deployed ({}) with {} subscribers",
             config.deployment.label(),
             subscribers.len()
@@ -462,7 +462,6 @@ mod tests {
 
     fn build(deployment: AkaDeployment) -> (Env, Slice) {
         let mut env = Env::new(29);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {

@@ -16,6 +16,7 @@ use shield5g_crypto::aes::Aes128;
 use shield5g_crypto::hmac::HmacSha256;
 use shield5g_crypto::sha256::Sha256;
 use shield5g_obs::hub as obs;
+use shield5g_obs::labels;
 use shield5g_obs::span::SpanKind;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
@@ -148,7 +149,7 @@ impl EnclaveBuilder {
         env.log.record(
             env.clock.now(),
             "enclave",
-            format!(
+            format_args!(
                 "EINIT {} ({} content pages, {} heap pages)",
                 self.name, content_pages, heap_pages
             ),
@@ -327,7 +328,7 @@ impl Enclave {
         self.threads_inside += 1;
         self.counters.record_ecall();
         env.clock.advance(self.cost.eenter());
-        self.record_transition(env, "eenter", t0, &[("eenter", 1)]);
+        self.record_transition(env, "eenter", t0, &[(labels::EENTER, 1)]);
         Ok(())
     }
 
@@ -341,7 +342,7 @@ impl Enclave {
         self.threads_inside = self.threads_inside.saturating_sub(1);
         self.counters.record_ecall_return();
         env.clock.advance(self.cost.eexit());
-        self.record_transition(env, "eexit", t0, &[("eexit", 1)]);
+        self.record_transition(env, "eexit", t0, &[(labels::EEXIT, 1)]);
     }
 
     /// Performs an OCALL round trip carrying `bytes` across the boundary
@@ -355,7 +356,7 @@ impl Enclave {
             env,
             "ocall",
             t0,
-            &[("ocalls", 1), ("eexit", 1), ("eenter", 1)],
+            &[(labels::OCALLS, 1), (labels::EEXIT, 1), (labels::EENTER, 1)],
         );
     }
 
@@ -373,7 +374,7 @@ impl Enclave {
         let t0 = env.clock.now().as_nanos();
         self.counters.record_aex_resume();
         env.clock.advance(self.cost.aex() + self.cost.eresume());
-        self.record_transition(env, "aex", t0, &[("aex", 1), ("eresume", 1)]);
+        self.record_transition(env, "aex", t0, &[(labels::AEX, 1), (labels::ERESUME, 1)]);
     }
 
     /// Pre-faults the entire heap (`sgx.preheat_enclave = true`): each page
@@ -390,12 +391,12 @@ impl Enclave {
             env,
             "prefault_heap",
             t0,
-            &[("aex", pages), ("eresume", pages)],
+            &[(labels::AEX, pages), (labels::ERESUME, pages)],
         );
         env.log.record(
             env.clock.now(),
             "enclave",
-            format!("{}: preheated {pages} heap pages", self.name),
+            format_args!("{}: preheated {pages} heap pages", self.name),
         );
     }
 
@@ -411,7 +412,7 @@ impl Enclave {
             env,
             "demand_fault",
             t0,
-            &[("aex", pages), ("eresume", pages)],
+            &[(labels::AEX, pages), (labels::ERESUME, pages)],
         );
     }
 
@@ -437,7 +438,7 @@ impl Enclave {
         env.log.record(
             env.clock.now(),
             "enclave",
-            format!("{}: instance lost (crash injected)", self.name),
+            format_args!("{}: instance lost (crash injected)", self.name),
         );
     }
 
@@ -459,11 +460,11 @@ impl Enclave {
         let t0 = env.clock.now().as_nanos();
         self.lost = false;
         env.clock.advance(load_time);
-        self.record_transition(env, "reload", t0, &[("reloads", 1)]);
+        self.record_transition(env, "reload", t0, &[(labels::RELOADS, 1)]);
         env.log.record(
             env.clock.now(),
             "enclave",
-            format!(
+            format_args!(
                 "{}: reloaded after crash ({} ms load time)",
                 self.name,
                 load_time.as_nanos() / 1_000_000
@@ -481,11 +482,16 @@ impl Enclave {
         env.clock.advance(SimDuration::from_nanos(
             (self.cost.aex() + self.cost.eresume()).as_nanos() * count,
         ));
-        self.record_transition(env, "aex_storm", t0, &[("aex", count), ("eresume", count)]);
+        self.record_transition(
+            env,
+            "aex_storm",
+            t0,
+            &[(labels::AEX, count), (labels::ERESUME, count)],
+        );
         env.log.record(
             env.clock.now(),
             "enclave",
-            format!("{}: AEX storm ({count} exits)", self.name),
+            format_args!("{}: AEX storm ({count} exits)", self.name),
         );
     }
 
@@ -523,7 +529,12 @@ impl Enclave {
             }
         }
         if paged > 0 {
-            self.record_transition(env, "paging", t0, &[("ewb", paged), ("eldu", paged)]);
+            self.record_transition(
+                env,
+                "paging",
+                t0,
+                &[(labels::EWB, paged), (labels::ELDU, paged)],
+            );
         }
         paged
     }
@@ -545,7 +556,7 @@ impl Enclave {
         let t0 = env.clock.now().as_nanos();
         self.counters.ewb += 1;
         env.clock.advance(self.cost.cycles(self.cost.ewb_cycles));
-        self.record_transition(env, "ewb", t0, &[("ewb", 1)]);
+        self.record_transition(env, "ewb", t0, &[(labels::EWB, 1)]);
         Ok(page)
     }
 
@@ -587,7 +598,7 @@ impl Enclave {
         let t0 = env.clock.now().as_nanos();
         self.counters.eldu += 1;
         env.clock.advance(self.cost.cycles(self.cost.eldu_cycles));
-        self.record_transition(env, "eldu", t0, &[("eldu", 1)]);
+        self.record_transition(env, "eldu", t0, &[(labels::ELDU, 1)]);
         Ok(())
     }
 

@@ -167,7 +167,6 @@ mod tests {
     #[test]
     fn deploys_mixed_plain_and_shielded() {
         let mut env = Env::new(1);
-        env.log.disable();
         let platform = SgxPlatform::new(&mut env);
         let mut host = Host::with_sgx("r450", platform);
         let handles = spec().deploy(&mut env, &mut host, &registry()).unwrap();
@@ -207,7 +206,6 @@ mod tests {
     #[test]
     fn shielded_service_needs_sgx_host() {
         let mut env = Env::new(3);
-        env.log.disable();
         let mut host = Host::without_sgx("plain-host");
         assert!(matches!(
             spec().deploy(&mut env, &mut host, &registry()),

@@ -128,7 +128,7 @@ impl Host {
         env.log.record(
             env.clock.now(),
             "infra",
-            format!("{}: started plain container {image}", self.name),
+            format_args!("{}: started plain container {image}", self.name),
         );
         Ok(handle)
     }
@@ -172,7 +172,7 @@ impl Host {
         env.log.record(
             env.clock.now(),
             "infra",
-            format!("{}: started shielded container {image}", self.name),
+            format_args!("{}: started shielded container {image}", self.name),
         );
         Ok(handle)
     }

@@ -144,7 +144,7 @@ impl GramineLibos {
         env.log.record(
             env.clock.now(),
             "libos",
-            format!(
+            format_args!(
                 "{} booted in {} ({} trusted files)",
                 image.image_name,
                 load_time,

@@ -150,6 +150,9 @@ impl Config {
             taint_source_methods: vec![s("expose"), s("expose_mut")],
             taint_sink_macros: vec![
                 s("format"),
+                // `EventLog::record` takes `format_args!`: every
+                // transcript message is a sink.
+                s("format_args"),
                 s("print"),
                 s("println"),
                 s("eprint"),

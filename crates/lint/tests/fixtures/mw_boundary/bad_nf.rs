@@ -4,18 +4,16 @@
 
 pub struct BadNf {
     retrier: Retrier,
+    queue: Option<AdmissionPolicy>,
 }
 
 impl BadNf {
     pub fn install(&mut self, engine: &mut Engine) {
         engine.set_fault_injector(None);
-        engine.set_policy(
-            "bad.oai",
-            AdmissionPolicy {
-                capacity: Some(8),
-                deadline: None,
-            },
-        );
+        self.queue = Some(AdmissionPolicy {
+            capacity: Some(8),
+            deadline: None,
+        });
     }
 
     pub fn consult(&mut self, injector: &mut dyn FaultInjector) {

@@ -296,6 +296,27 @@ fn taint_fixture_cross_function_leak_is_caught() {
 }
 
 #[test]
+fn taint_fixture_transcript_leak_is_caught() {
+    // Exposed key bytes formatted into `env.log.record` are a leak; the
+    // length of the same bytes is not.
+    let config = Config::repo_default();
+    let report = run_rules(&[fixture("taint/transcript.rs")], &config);
+    let sh004: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "SH004")
+        .collect();
+    assert_eq!(sh004.len(), 1, "findings: {:?}", report.findings);
+    let f = sh004[0];
+    assert_eq!(f.line, 10, "{f}");
+    assert!(
+        f.message.contains("format_args!") && f.message.contains("log_installed_key"),
+        "message should name the transcript sink: {}",
+        f.message
+    );
+}
+
+#[test]
 fn layer_order_fixture_violation_is_caught() {
     let config = Config::repo_default();
     let report = run_rules(&[fixture("layer_order/bad_stack.rs")], &config);

@@ -4,21 +4,21 @@
 //! shed only when capacity is truly exhausted, while normal traffic is
 //! shed early at `capacity - emergency_headroom` so overload degrades
 //! the classes at different rates instead of uniformly.
+//!
+//! The layer owns its counters and publishes them through one shared
+//! [`AdmissionStatsHandle`]; the scheduler knows nothing of admission.
 
 use crate::stack::Layer;
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
-use shield5g_sim::engine::{
-    AdmissionPolicy, AdmissionStats, Gate, LegMeta, PriorityClass, SHED_HEADER,
-};
+use shield5g_sim::engine::{AdmissionPolicy, Gate, LegMeta, PriorityClass, SHED_HEADER};
 use shield5g_sim::http::HttpResponse;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Per-class shed counters (the harness keeps a clone of the shared
-/// handle to read after runs).
+/// Per-class shed counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClassSheds {
     /// Normal-class arrivals shed (queue-full or deadline).
@@ -27,8 +27,23 @@ pub struct ClassSheds {
     pub emergency: u64,
 }
 
-/// Shared per-class shed counter handle.
-pub type ClassShedsHandle = Rc<RefCell<ClassSheds>>;
+/// Everything one [`AdmissionLayer`] counts at its endpoint.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AdmissionStats {
+    /// Arrivals refused because the bounded queue was full.
+    pub shed_full: u64,
+    /// Waiters refused because their queueing delay exceeded the
+    /// admission deadline.
+    pub shed_deadline: u64,
+    /// Peak in-flight depth (serving + waiting) seen at the endpoint.
+    pub depth_peak: usize,
+    /// Both kinds of shed, split by priority class.
+    pub class_sheds: ClassSheds,
+}
+
+/// Shared handle to one layer's [`AdmissionStats`] (clone it to read
+/// the counters after a run).
+pub type AdmissionStatsHandle = Rc<RefCell<AdmissionStats>>;
 
 /// Enforces an [`AdmissionPolicy`] at the endpoint's door: arrivals
 /// beyond `capacity` are shed immediately with a 503 (`x-sim-shed:
@@ -43,16 +58,13 @@ pub type ClassShedsHandle = Rc<RefCell<ClassSheds>>;
 /// admitted until depth reaches the full `capacity`. Headroom zero (the
 /// default) reproduces the classless behavior bit-for-bit.
 ///
-/// Tracks the shed counters and the peak in-flight depth the engine
-/// reports through [`shield5g_sim::engine::Engine::shed_counts`] /
-/// [`shield5g_sim::engine::Engine::depth_peak`]. Claims policies routed
-/// via [`shield5g_sim::engine::Engine::set_policy`].
+/// Counts sheds and the peak in-flight depth into the handle returned by
+/// [`AdmissionLayer::stats_handle`].
 #[derive(Debug, Default)]
 pub struct AdmissionLayer {
     policy: AdmissionPolicy,
     emergency_headroom: usize,
-    stats: AdmissionStats,
-    class_sheds: ClassShedsHandle,
+    stats: AdmissionStatsHandle,
 }
 
 impl AdmissionLayer {
@@ -63,8 +75,7 @@ impl AdmissionLayer {
         AdmissionLayer {
             policy,
             emergency_headroom: 0,
-            stats: AdmissionStats::default(),
-            class_sheds: ClassShedsHandle::default(),
+            stats: AdmissionStatsHandle::default(),
         }
     }
 
@@ -78,31 +89,10 @@ impl AdmissionLayer {
         }
     }
 
-    /// Counts class sheds into a caller-owned handle instead of a fresh
-    /// one — a replica pool shares one handle across all its endpoints
-    /// so per-class shed curves aggregate pool-wide.
+    /// The shared counter handle (clone to read after a run).
     #[must_use]
-    pub fn share_class_sheds(mut self, handle: ClassShedsHandle) -> Self {
-        self.class_sheds = handle;
-        self
-    }
-
-    /// The currently enforced policy.
-    #[must_use]
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// Capacity slots reserved for emergency arrivals.
-    #[must_use]
-    pub fn emergency_headroom(&self) -> usize {
-        self.emergency_headroom
-    }
-
-    /// The shared per-class shed counters (clone to read after a run).
-    #[must_use]
-    pub fn class_sheds(&self) -> ClassShedsHandle {
-        self.class_sheds.clone()
+    pub fn stats_handle(&self) -> AdmissionStatsHandle {
+        self.stats.clone()
     }
 
     /// The capacity ceiling `class` arrivals are admitted under.
@@ -114,8 +104,8 @@ impl AdmissionLayer {
     }
 
     /// Counts one shed against the leg's priority class.
-    fn count_class_shed(&mut self, leg: &LegMeta) {
-        let mut sheds = self.class_sheds.borrow_mut();
+    fn count_class_shed(&self, leg: &LegMeta) {
+        let sheds = &mut self.stats.borrow_mut().class_sheds;
         let label = match leg.class {
             PriorityClass::Normal => {
                 sheds.normal += 1;
@@ -134,7 +124,7 @@ impl Layer for AdmissionLayer {
     fn on_arrive(&mut self, _env: &mut Env, leg: &LegMeta, depth: usize) -> Gate {
         if let Some(cap) = self.capacity_for(leg.class) {
             if depth >= cap {
-                self.stats.shed_full += 1;
+                self.stats.borrow_mut().shed_full += 1;
                 obs::count(&leg.dest, &leg.path, labels::SHED_QUEUE_FULL, 1);
                 self.count_class_shed(leg);
                 return Gate::Shed {
@@ -148,12 +138,13 @@ impl Layer for AdmissionLayer {
     }
 
     fn on_admitted(&mut self, _env: &mut Env, _leg: &LegMeta, depth: usize) {
-        self.stats.depth_peak = self.stats.depth_peak.max(depth);
+        let mut stats = self.stats.borrow_mut();
+        stats.depth_peak = stats.depth_peak.max(depth);
     }
 
     fn on_begin(&mut self, _env: &mut Env, leg: &LegMeta, waited: SimDuration) -> Gate {
         if self.policy.deadline.is_some_and(|d| waited > d) {
-            self.stats.shed_deadline += 1;
+            self.stats.borrow_mut().shed_deadline += 1;
             obs::count(&leg.dest, &leg.path, labels::SHED_DEADLINE, 1);
             self.count_class_shed(leg);
             return Gate::Shed {
@@ -163,15 +154,6 @@ impl Layer for AdmissionLayer {
             };
         }
         Gate::Admit
-    }
-
-    fn set_admission_policy(&mut self, policy: AdmissionPolicy) -> bool {
-        self.policy = policy;
-        true
-    }
-
-    fn admission_stats(&self) -> AdmissionStats {
-        self.stats
     }
 }
 
@@ -212,8 +194,15 @@ mod tests {
         // ...while emergency still has the reserved slots.
         let gate = layer.on_arrive(&mut env, &leg_with_class(PriorityClass::Emergency), 8);
         assert!(matches!(gate, Gate::Admit));
-        let sheds = *layer.class_sheds().borrow();
-        assert_eq!((sheds.normal, sheds.emergency), (1, 0));
+        let stats = *layer.stats_handle().borrow();
+        assert_eq!(
+            stats.class_sheds,
+            ClassSheds {
+                normal: 1,
+                emergency: 0
+            }
+        );
+        assert_eq!((stats.shed_full, stats.shed_deadline), (1, 0));
     }
 
     #[test]
@@ -222,7 +211,7 @@ mod tests {
         let mut layer = bounded(10, 2);
         let gate = layer.on_arrive(&mut env, &leg_with_class(PriorityClass::Emergency), 10);
         assert!(matches!(gate, Gate::Shed { .. }));
-        assert_eq!(layer.class_sheds().borrow().emergency, 1);
+        assert_eq!(layer.stats_handle().borrow().class_sheds.emergency, 1);
     }
 
     #[test]

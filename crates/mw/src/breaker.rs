@@ -369,7 +369,7 @@ impl BreakerLayer {
         env.log.record(
             env.clock.now(),
             "breaker",
-            format!("{nf} -> {peer}: circuit {}", state.name()),
+            format_args!("{nf} -> {peer}: circuit {}", state.name()),
         );
     }
 }
@@ -401,7 +401,7 @@ impl Layer for BreakerLayer {
                         env.log.record(
                             env.clock.now(),
                             "breaker",
-                            format!("fail-fast {} {} (circuit open)", dest, req.path),
+                            format_args!("fail-fast {} {} (circuit open)", dest, req.path),
                         );
                         Step::Reply(
                             HttpResponse::error(503, "upstream circuit open")

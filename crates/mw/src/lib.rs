@@ -73,17 +73,17 @@ pub mod obs;
 pub mod retry;
 pub mod stack;
 
-pub use admission::{AdmissionLayer, ClassSheds, ClassShedsHandle};
+pub use admission::{AdmissionLayer, AdmissionStats, AdmissionStatsHandle, ClassSheds};
 pub use breaker::{
     BreakerCore, BreakerDecision, BreakerHandle, BreakerLayer, BreakerPolicy, BreakerState,
     BreakerStats, BreakerTransition,
 };
 pub use deadline::DeadlineLayer;
-pub use fault::{FaultLayer, FaultSwitch};
+pub use fault::{FaultInjector, FaultInjectorHandle, FaultLayer, FaultSwitch};
 pub use obs::{ObsCore, ObsCoreHandle, ObsLayer};
 pub use retry::{retryable, RetryLayer, RetryPolicy, RetryStats, RetryStatsHandle};
 pub use stack::{Layer, Resume, Stack};
 
 // Re-exported so stack construction sites need only this crate plus the
 // engine handle types.
-pub use shield5g_sim::engine::{AdmissionPolicy, AdmissionStats, Gate};
+pub use shield5g_sim::engine::{AdmissionPolicy, Gate};

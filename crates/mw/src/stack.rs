@@ -1,10 +1,7 @@
 //! The [`Layer`] contract and the [`Stack`] combinator that composes
 //! layers around an [`EngineService`].
 
-use shield5g_sim::engine::{
-    AdmissionPolicy, AdmissionStats, EngineService, EngineServiceHandle, FaultAction, Gate,
-    LegMeta, Step,
-};
+use shield5g_sim::engine::{EngineService, EngineServiceHandle, FaultAction, Gate, LegMeta, Step};
 use shield5g_sim::http::{HttpRequest, HttpResponse};
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
@@ -28,7 +25,7 @@ pub enum Resume {
 /// One middleware layer. Every method is a default no-op (or pass-
 /// through), so a layer implements exactly the seams it cares about.
 ///
-/// The scheduler-hook methods (`on_submit` through `admission_stats`)
+/// The scheduler-hook methods (`on_submit` through `on_deliver`)
 /// mirror [`EngineService`]'s hooks one-to-one — [`Stack`] fans each
 /// engine hook out across its layers. The three traversal methods
 /// (`on_request`, `on_response`, `on_step`) wrap the service's resumable
@@ -72,16 +69,6 @@ pub trait Layer {
 
     /// A response is being delivered for a leg of this endpoint.
     fn on_deliver(&mut self, env: &mut Env, leg: &LegMeta, resp: &HttpResponse) {}
-
-    /// Offer an admission policy to the layer. Return `true` to claim it.
-    fn set_admission_policy(&mut self, policy: AdmissionPolicy) -> bool {
-        false
-    }
-
-    /// Admission counters this layer accumulated.
-    fn admission_stats(&self) -> AdmissionStats {
-        AdmissionStats::default()
-    }
 
     /// Inbound: a fresh request is about to start on the service
     /// (outermost layer first).
@@ -253,31 +240,12 @@ impl EngineService for Stack {
             layer.on_deliver(env, leg, resp);
         }
     }
-
-    fn set_admission_policy(&mut self, policy: AdmissionPolicy) -> bool {
-        let mut claimed = false;
-        for layer in &mut self.layers {
-            claimed |= layer.set_admission_policy(policy);
-        }
-        claimed
-    }
-
-    fn admission_stats(&self) -> AdmissionStats {
-        let mut merged = AdmissionStats::default();
-        for layer in &self.layers {
-            let s = layer.admission_stats();
-            merged.shed_full += s.shed_full;
-            merged.shed_deadline += s.shed_deadline;
-            merged.depth_peak = merged.depth_peak.max(s.depth_peak);
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shield5g_sim::engine::Engine;
+    use shield5g_sim::engine::{trace_lines, Engine};
     use shield5g_sim::service::{service_handle, Service};
     use shield5g_sim::time::SimTime;
 
@@ -401,6 +369,7 @@ mod tests {
     fn empty_stack_is_transparent() {
         let run = |wrap: bool| {
             let mut env = Env::new(3);
+            env.log.enable();
             let mut engine = Engine::new();
             let leaf = Engine::leaf(service_handle(Echo));
             let handle = if wrap {
@@ -417,8 +386,10 @@ mod tests {
                 );
             }
             engine.run_until_idle(&mut env);
-            engine.trace().join("\n")
+            trace_lines(&env.log)
         };
-        assert_eq!(run(false), run(true));
+        let bare = run(false);
+        assert!(!bare.is_empty());
+        assert_eq!(bare, run(true));
     }
 }

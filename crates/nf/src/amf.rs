@@ -228,8 +228,11 @@ impl AmfService {
         let hres_star = derive_hxres_star(&rand, &res_star);
         if !shield5g_crypto::ct_eq(&hres_star, &hxres_star) {
             self.contexts.remove(&ran_ue_id);
-            env.log
-                .record(env.clock.now(), "aka", "SEAF HRES* check failed");
+            env.log.record(
+                env.clock.now(),
+                "aka",
+                format_args!("SEAF HRES* check failed"),
+            );
             return Ok(self.finish_ngap(ran_ue_id, &NasDownlink::AuthenticationReject));
         }
 
@@ -280,8 +283,11 @@ impl AmfService {
         };
         match cause {
             AuthFailureCause::MacFailure => {
-                env.log
-                    .record(env.clock.now(), "aka", "UE reported MAC failure");
+                env.log.record(
+                    env.clock.now(),
+                    "aka",
+                    format_args!("UE reported MAC failure"),
+                );
                 Ok(self.finish_ngap(
                     ran_ue_id,
                     &NasDownlink::RegistrationReject {
@@ -416,7 +422,7 @@ impl AmfService {
                         env.log.record(
                             env.clock.now(),
                             "aka",
-                            format!("{supi} registered as {guti}"),
+                            format_args!("{supi} registered as {guti}"),
                         );
                         self.contexts
                             .insert(ran_ue_id, UeState::Registered { supi, sec, guti });
@@ -453,7 +459,7 @@ impl AmfService {
                         env.log.record(
                             env.clock.now(),
                             "aka",
-                            format!("{supi} deregistered (switch_off={switch_off})"),
+                            format_args!("{supi} deregistered (switch_off={switch_off})"),
                         );
                         self.contexts
                             .insert(ran_ue_id, UeState::Registered { supi, sec, guti });
@@ -670,7 +676,7 @@ impl AmfService {
                 env.log.record(
                     env.clock.now(),
                     "aka",
-                    "SQN re-synchronised; restarting AKA",
+                    format_args!("SQN re-synchronised; restarting AKA"),
                 );
                 self.start_authentication(env, ran_ue_id, identity, resync_attempts + 1)
             }

@@ -110,7 +110,7 @@ impl AusfService {
         env.log.record(
             env.clock.now(),
             "aka",
-            format!("AUSF issued SE AV (ctx {ctx_id})"),
+            format_args!("AUSF issued SE AV (ctx {ctx_id})"),
         );
         Step::Reply(HttpResponse::ok(
             AuthenticateResponse {
@@ -141,7 +141,7 @@ impl AusfService {
             env.log.record(
                 env.clock.now(),
                 "aka",
-                format!("AUSF confirmed RES* for {}", ctx.supi),
+                format_args!("AUSF confirmed RES* for {}", ctx.supi),
             );
             Ok(ConfirmResponse {
                 success: true,
@@ -156,7 +156,7 @@ impl AusfService {
                 1,
             );
             env.log
-                .record(env.clock.now(), "aka", "AUSF rejected RES*".to_string());
+                .record(env.clock.now(), "aka", format_args!("AUSF rejected RES*"));
             Ok(ConfirmResponse {
                 success: false,
                 supi: String::new(),

@@ -88,7 +88,7 @@ impl Service for NrfService {
                     env.log.record(
                         env.clock.now(),
                         "nrf",
-                        format!("registered {} at {}", profile.nf_type, profile.addr),
+                        format_args!("registered {} at {}", profile.nf_type, profile.addr),
                     );
                     self.profiles.insert(profile.addr.clone(), profile);
                     HttpResponse::ok(Vec::new())

@@ -135,7 +135,7 @@ impl UdmService {
         env.log.record(
             env.clock.now(),
             "aka",
-            format!("UDM generated HE AV for {supi}"),
+            format_args!("UDM generated HE AV for {supi}"),
         );
         Step::Reply(HttpResponse::ok(
             UdmAuthGetResponse {
@@ -317,7 +317,7 @@ impl EngineService for UdmService {
                         env.log.record(
                             env.clock.now(),
                             "aka",
-                            format!("UDM re-synchronised SQN for {supi}"),
+                            format_args!("UDM re-synchronised SQN for {supi}"),
                         );
                         Step::Reply(HttpResponse::ok(Vec::new()))
                     }

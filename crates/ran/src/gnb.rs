@@ -98,7 +98,7 @@ impl Gnb {
         env.log.record(
             env.clock.now(),
             "ran",
-            format!("RRC connected (ran_ue_id {id})"),
+            format_args!("RRC connected (ran_ue_id {id})"),
         );
         Ok(id)
     }

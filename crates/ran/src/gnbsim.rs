@@ -115,7 +115,6 @@ mod tests {
 
     fn world(deployment: AkaDeployment) -> (Env, Slice) {
         let mut env = Env::new(41);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {
@@ -200,7 +199,6 @@ mod tests {
         // (network SQN generator reset to zero) but keep the old USIM —
         // its window is ahead, so the challenge triggers AUTS resync.
         let mut env2 = Env::new(43);
-        env2.log.disable();
         let slice2 = build_slice(
             &mut env2,
             &SliceConfig {

@@ -73,7 +73,6 @@ impl OtaTestbed {
     #[must_use]
     pub fn assemble(seed: u64, deployment: AkaDeployment) -> Self {
         let mut env = Env::new(seed);
-        env.log.disable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {

@@ -17,6 +17,7 @@ use shield5g_nf::messages::{AuthFailureCause, NasDownlink, NasUplink, UeIdentity
 use shield5g_nf::nas_security::{NasSecurityContext, ProtectedNas};
 use shield5g_obs::hub as obs;
 use shield5g_obs::hub::StageSpan;
+use shield5g_obs::labels;
 use shield5g_sim::time::SimDuration;
 use shield5g_sim::Env;
 
@@ -307,12 +308,12 @@ impl CotsUe {
         }
 
         stage.close(env.clock.now().as_nanos());
-        obs::count("ue", "registration", "completed", 1);
-        obs::count("ue", "registration", "resyncs", u64::from(resyncs));
+        obs::count("ue", "registration", labels::COMPLETED, 1);
+        obs::count("ue", "registration", labels::RESYNCS, u64::from(resyncs));
         obs::observe(
             "ue",
             "registration",
-            "setup_time_ns",
+            labels::SETUP_TIME_NS,
             (env.clock.now() - t0).as_nanos(),
         );
         Ok(RegistrationReport {

@@ -200,7 +200,6 @@ impl OpenLoop {
     #[must_use]
     pub fn build(seed: u64, spec: &OpenLoopSpec) -> Self {
         let mut env = Env::new(seed);
-        env.log.disable();
         let mut pool = EnclavePool::deploy(&mut env, PakaKind::EUdm, spec.pool);
         for i in 0..spec.ues {
             pool.provision_subscriber(&mut env, &test_supi(i), K);
@@ -244,8 +243,8 @@ impl OpenLoop {
     }
 
     /// Offers the whole trace, drains every request (retransmissions
-    /// included), folds the engine's admission counters back onto the
-    /// pool, and returns the pool with what the run observed.
+    /// included), and returns the pool (its replicas hold their
+    /// endpoints' admission counters) with what the run observed.
     ///
     /// # Panics
     ///
@@ -279,7 +278,6 @@ impl OpenLoop {
         client.drain();
         let mut out = client.out;
         out.cache = client.cache.map(|c| c.stats());
-        self.pool.absorb_engine(&self.engine);
         (self.pool, out)
     }
 }

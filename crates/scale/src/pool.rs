@@ -22,8 +22,8 @@ use shield5g_hmee::platform::SgxPlatform;
 use shield5g_infra::host::Host;
 use shield5g_infra::image::Registry;
 use shield5g_mw::{
-    AdmissionLayer, ClassSheds, ClassShedsHandle, FaultLayer, FaultSwitch, ObsCoreHandle, ObsLayer,
-    Stack,
+    AdmissionLayer, AdmissionStatsHandle, ClassSheds, FaultLayer, FaultSwitch, ObsCoreHandle,
+    ObsLayer, Stack,
 };
 use shield5g_obs::hub as obs;
 use shield5g_obs::labels;
@@ -128,8 +128,8 @@ impl Default for PoolConfig {
     }
 }
 
-/// One replica: a distinct enclave deployment plus its admission
-/// tallies from the engine run.
+/// One replica: a distinct enclave deployment plus the admission
+/// counters of its engine endpoint.
 pub struct Replica {
     /// Stable pool-wide identifier.
     pub id: ReplicaId,
@@ -144,10 +144,9 @@ pub struct Replica {
     /// pure request-serving cost, excluding boot and warm-up.
     baseline: Option<SgxCounters>,
     served: Rc<Cell<u64>>,
-    /// Shed counts (full, deadline) absorbed from an engine run.
-    engine_shed: (u64, u64),
-    /// Peak in-flight depth absorbed from an engine run.
-    engine_depth_peak: usize,
+    /// Counters of the [`AdmissionLayer`] guarding the replica's engine
+    /// endpoint (all zero until the replica is registered).
+    admission: AdmissionStatsHandle,
     /// Shared with the engine-facing service: when set, the endpoint
     /// fails fast instead of serving (fault-injected death).
     dead: Rc<Cell<bool>>,
@@ -175,17 +174,17 @@ impl Replica {
     }
 
     /// Requests shed at this replica's endpoint (queue full plus
-    /// deadline), as absorbed from the engine run.
+    /// deadline).
     #[must_use]
     pub fn shed_total(&self) -> u64 {
-        self.engine_shed.0 + self.engine_shed.1
+        let stats = self.admission.borrow();
+        stats.shed_full + stats.shed_deadline
     }
 
-    /// Peak in-flight depth of this replica's endpoint, as absorbed from
-    /// the engine run.
+    /// Peak in-flight depth of this replica's endpoint.
     #[must_use]
     pub fn depth_peak(&self) -> usize {
-        self.engine_depth_peak
+        self.admission.borrow().depth_peak
     }
 
     /// Shared handle to the replica's enclave module.
@@ -226,9 +225,6 @@ pub struct EnclavePool {
     /// drive EWMA ejection/reinstatement of ring members. `None` (the
     /// default) is zero-cost and route-invariant.
     health: Option<HealthTracker>,
-    /// Pool-wide per-priority-class shed counters, shared by every
-    /// replica endpoint's [`AdmissionLayer`].
-    class_sheds: ClassShedsHandle,
 }
 
 impl std::fmt::Debug for EnclavePool {
@@ -261,7 +257,6 @@ impl EnclavePool {
             obs_core: ObsLayer::core(),
             fault_switch: FaultSwitch::new(),
             health: None,
-            class_sheds: ClassShedsHandle::default(),
         };
         for _ in 0..cfg.replicas {
             let id = pool.spawn_replica(env);
@@ -296,8 +291,7 @@ impl EnclavePool {
             module: Rc::new(RefCell::new(module)),
             baseline: None,
             served: Rc::new(Cell::new(0)),
-            engine_shed: (0, 0),
-            engine_depth_peak: 0,
+            admission: AdmissionStatsHandle::default(),
             dead: Rc::new(Cell::new(false)),
         };
         Self::preheat(env, self.kind, &mut replica);
@@ -329,23 +323,35 @@ impl EnclavePool {
     /// serving-thread budget, admission policy = the pool's queue
     /// config). The open-loop harness then schedules routed arrivals and
     /// lets queueing, overlap, and shedding fall out of event ordering.
-    pub(crate) fn register_on(&self, engine: &mut Engine) {
-        for replica in self
+    pub(crate) fn register_on(&mut self, engine: &mut Engine) {
+        let ready: Vec<ReplicaId> = self
             .replicas
             .iter()
             .filter(|r| r.state == ReplicaState::Ready)
-        {
-            self.register_replica(engine, replica);
+            .map(|r| r.id)
+            .collect();
+        for id in ready {
+            self.register_replica(engine, id);
         }
     }
 
-    /// Registers one ready replica as an engine endpoint. No-op when the
-    /// address is already registered.
-    fn register_replica(&self, engine: &mut Engine, replica: &Replica) {
-        let addr = replica_addr(self.kind, replica.id);
+    /// Registers one ready replica as an engine endpoint and keeps its
+    /// admission layer's counter handle. No-op when the address is
+    /// already registered.
+    fn register_replica(&mut self, engine: &mut Engine, id: ReplicaId) {
+        let addr = replica_addr(self.kind, id);
         if engine.knows(&addr) {
             return;
         }
+        let admission = AdmissionLayer::with_priority(
+            AdmissionPolicy {
+                capacity: Some(self.cfg.queue.capacity),
+                deadline: Some(self.cfg.queue.deadline),
+            },
+            self.cfg.emergency_headroom,
+        );
+        let stats = admission.stats_handle();
+        let replica = self.replica(id);
         let workers = replica.module.borrow().app_threads();
         // Canonical layer order (outermost first): Obs sees every
         // arrival including the ones Admission sheds; Fault only decides
@@ -356,25 +362,25 @@ impl EnclavePool {
             dead: replica.dead.clone(),
         })))
         .with(ObsLayer::new(self.obs_core.clone()))
-        .with(
-            AdmissionLayer::with_priority(
-                AdmissionPolicy {
-                    capacity: Some(self.cfg.queue.capacity),
-                    deadline: Some(self.cfg.queue.deadline),
-                },
-                self.cfg.emergency_headroom,
-            )
-            .share_class_sheds(self.class_sheds.clone()),
-        )
+        .with(admission)
         .with(FaultLayer::new(self.fault_switch.clone()));
-        engine.register(addr.clone(), workers, stack.into_handle());
+        engine.register(addr, workers, stack.into_handle());
+        self.replica_mut(id).admission = stats;
     }
 
-    /// Pool-wide per-priority-class shed totals, aggregated across every
+    /// Pool-wide per-priority-class shed totals: the sum over every
     /// replica endpoint (including ones since killed).
     #[must_use]
     pub fn class_sheds(&self) -> ClassSheds {
-        *self.class_sheds.borrow()
+        self.replicas
+            .iter()
+            .fold(ClassSheds::default(), |total, replica| {
+                let sheds = replica.admission.borrow().class_sheds;
+                ClassSheds {
+                    normal: total.normal + sheds.normal,
+                    emergency: total.emergency + sheds.emergency,
+                }
+            })
     }
 
     /// The shared switch arming fault injection on every replica
@@ -383,20 +389,6 @@ impl EnclavePool {
     #[must_use]
     pub fn fault_switch(&self) -> &FaultSwitch {
         &self.fault_switch
-    }
-
-    /// Copies per-endpoint shed counters and depth peaks from a finished
-    /// engine run back onto the replicas, so [`Replica::shed_total`] and
-    /// [`Replica::depth_peak`] report engine-run ground truth.
-    pub(crate) fn absorb_engine(&mut self, engine: &Engine) {
-        let kind = self.kind;
-        for replica in &mut self.replicas {
-            let addr = replica_addr(kind, replica.id);
-            if engine.knows(&addr) {
-                replica.engine_shed = engine.shed_counts(&addr);
-                replica.engine_depth_peak = engine.depth_peak(&addr);
-            }
-        }
     }
 
     /// Moves a standby replica onto the routing ring (the fast scale-up
@@ -499,7 +491,7 @@ impl EnclavePool {
         id: ReplicaId,
     ) -> FailoverReport {
         let report = self.kill_replica(env, id);
-        self.register_replica(engine, self.replica(report.replacement));
+        self.register_replica(engine, report.replacement);
         report
     }
 
@@ -722,9 +714,7 @@ mod tests {
     }
 
     fn env() -> Env {
-        let mut env = Env::new(7101);
-        env.log.disable();
-        env
+        Env::new(7101)
     }
 
     fn av_request(supi: &str) -> HttpRequest {
@@ -853,8 +843,9 @@ mod tests {
         // The shed request moved no SGX counter and no served count.
         assert_eq!(p.replica(0).counters_delta(), before);
         assert_eq!(p.replica(0).served(), 1);
-        p.absorb_engine(&engine);
         assert_eq!(p.replica(0).shed_total(), 1);
+        assert_eq!(p.replica(0).depth_peak(), 1);
+        assert_eq!(p.class_sheds().normal, 1);
     }
 
     #[test]

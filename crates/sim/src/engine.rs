@@ -17,16 +17,26 @@
 //! endpoint's FIFO. Queueing delay, the Fig. 8 thread sweep, and
 //! admission shedding all emerge from event ordering.
 //!
-//! The engine itself is a *pure scheduler*: heap, worker budgets, and
-//! the byte-exact event trace. Cross-cutting per-endpoint concerns —
-//! admission control, fault injection, observability, retries, deadlines
-//! — live in middleware layers (the `shield5g-mw` crate) stacked around
-//! each registered service. The scheduler exposes the seams those layers
-//! need as default-no-op [`EngineService`] hooks (`on_arrive`,
-//! `on_begin`, `request_fate`, `response_fate`, ...): a bare service
-//! scheduled directly behaves exactly like one wrapped in an empty
-//! stack, and a hook that declines to act is byte-invisible in the
-//! trace.
+//! The engine itself is a *pure scheduler*: the heap, the context table
+//! and per-endpoint worker budgets, nothing else. Cross-cutting
+//! per-endpoint concerns — admission control and its counters, fault
+//! injection, observability, retries, deadlines — live in middleware
+//! layers (the `shield5g-mw` crate) stacked around each registered
+//! service. The scheduler exposes the seams those layers need as
+//! default-no-op [`EngineService`] hooks (`on_arrive`, `on_begin`,
+//! `request_fate`, `response_fate`, ...): a bare service scheduled
+//! directly behaves exactly like one wrapped in an empty stack, and a
+//! hook that declines to act is byte-invisible in the trace.
+//!
+//! # The event trace
+//!
+//! Each scheduler decision is one note in the world's transcript,
+//! `env.log`, under [`TRACE_CATEGORY`]: `<kind> <endpoint> <detail>` at
+//! the event's virtual instant. The log starts disabled, so a run that
+//! never calls `env.log.enable()` formats and keeps nothing.
+//! [`trace_lines`] renders the notes as the byte-exact trace
+//! (`t=<nanos> seq=<n> <kind> <endpoint> <detail>`), which is identical
+//! across same-seed runs.
 //!
 //! Two driving modes:
 //!
@@ -52,6 +62,7 @@
 //! whether it ran alone or beside fifteen others.
 
 use crate::http::{HttpRequest, HttpResponse};
+use crate::log::EventLog;
 use crate::service::{Env, ServiceHandle};
 use crate::time::{SimDuration, SimTime};
 use crate::SimError;
@@ -59,7 +70,23 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::fmt::Display;
 use std::rc::Rc;
+
+/// `env.log` category of the engine's scheduler notes.
+pub const TRACE_CATEGORY: &str = "engine";
+
+/// Renders the engine notes in `log` as the event trace, one line per
+/// scheduler decision in execution order:
+/// `t=<nanos> seq=<n> <kind> <endpoint> <detail>`, where `seq` numbers
+/// the engine notes alone. Empty unless the log was enabled.
+#[must_use]
+pub fn trace_lines(log: &EventLog) -> Vec<String> {
+    log.in_category(TRACE_CATEGORY)
+        .enumerate()
+        .map(|(seq, e)| format!("t={} seq={seq} {}", e.at.as_nanos(), e.message))
+        .collect()
+}
 
 /// Response header the engine sets on synthesized (non-service) replies:
 /// `unknown-endpoint` for a call to an unregistered address, `loop` for a
@@ -146,32 +173,6 @@ pub enum FaultAction {
     },
 }
 
-/// Decides the fate of each engine message delivery. Implementations
-/// must be deterministic functions of their own seeded state — the
-/// engine consults them (through the [`EngineService::request_fate`] /
-/// [`EngineService::response_fate`] hooks) in event order, so a
-/// seed-driven injector yields byte-identical fault schedules across
-/// same-seed runs.
-pub trait FaultInjector {
-    /// Consulted when a `Step::CallOut` request is about to travel to
-    /// `dest` (the SBI request leg).
-    fn on_request(&mut self, dest: &str, path: &str) -> FaultAction {
-        let _ = (dest, path);
-        FaultAction::Deliver
-    }
-
-    /// Consulted when a service's reply from `dest` is about to travel
-    /// back to its caller (the SBI response leg).
-    fn on_response(&mut self, dest: &str, path: &str, status: u16) -> FaultAction {
-        let _ = (dest, path, status);
-        FaultAction::Deliver
-    }
-}
-
-/// Shared handle to a fault injector (the harness keeps a clone to read
-/// its counters after a run).
-pub type FaultInjectorHandle = Rc<RefCell<dyn FaultInjector>>;
-
 /// What a service segment does next.
 pub enum Step {
     /// The request is answered; the worker is released and the response
@@ -241,19 +242,6 @@ pub enum Gate {
         /// Trace annotation, e.g. `"shed-full"` / `"shed-deadline"`.
         note: &'static str,
     },
-}
-
-/// Admission counters reported by a service stack through
-/// [`EngineService::admission_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Arrivals refused because the bounded queue was full.
-    pub shed_full: u64,
-    /// Waiters refused because their queueing delay exceeded the
-    /// admission deadline.
-    pub shed_deadline: u64,
-    /// Peak in-flight depth (serving + waiting) seen at the endpoint.
-    pub depth_peak: usize,
 }
 
 /// A service in continuation-passing form: `start` handles a fresh
@@ -343,19 +331,6 @@ pub trait EngineService {
     /// delivered for a leg addressed to this endpoint; the leg is done.
     fn on_deliver(&mut self, env: &mut Env, leg: &LegMeta, resp: &HttpResponse) {
         let _ = (env, leg, resp);
-    }
-
-    /// Hook: install an admission policy. Returns whether anything in
-    /// the service accepted it (a bare service has no admission layer
-    /// and returns `false`).
-    fn set_admission_policy(&mut self, policy: AdmissionPolicy) -> bool {
-        let _ = policy;
-        false
-    }
-
-    /// Hook: admission counters accumulated by the service's stack.
-    fn admission_stats(&self) -> AdmissionStats {
-        AdmissionStats::default()
     }
 }
 
@@ -508,8 +483,6 @@ pub struct Engine {
     next_ctx: u64,
     next_seq: u64,
     completions: Vec<Completion>,
-    trace: Vec<String>,
-    trace_enabled: bool,
 }
 
 impl Default for Engine {
@@ -538,8 +511,6 @@ impl Engine {
             next_ctx: 1,
             next_seq: 0,
             completions: Vec::new(),
-            trace: Vec::new(),
-            trace_enabled: true,
         }
     }
 
@@ -574,69 +545,10 @@ impl Engine {
         );
     }
 
-    /// Routes an admission policy to the service registered at `addr`
-    /// (its admission layer, when it has one). Returns `false` when
-    /// `addr` is unknown or the service has nothing that accepts a
-    /// policy — callers that require enforcement must check.
-    pub fn set_policy(&mut self, addr: &str, policy: AdmissionPolicy) -> bool {
-        self.endpoints
-            .get(addr)
-            .is_some_and(|e| e.service.borrow_mut().set_admission_policy(policy))
-    }
-
-    /// Removes an endpoint; returns whether it existed.
-    pub fn deregister(&mut self, addr: &str) -> bool {
-        self.endpoints.remove(addr).is_some()
-    }
-
     /// Whether `addr` is registered.
     #[must_use]
     pub fn knows(&self, addr: &str) -> bool {
         self.endpoints.contains_key(addr)
-    }
-
-    /// All registered addresses, sorted.
-    #[must_use]
-    pub fn addresses(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.endpoints.keys().cloned().collect();
-        out.sort();
-        out
-    }
-
-    /// `(queue-full, deadline)` shed counters reported by an endpoint's
-    /// service stack.
-    #[must_use]
-    pub fn shed_counts(&self, addr: &str) -> (u64, u64) {
-        self.endpoints.get(addr).map_or((0, 0), |e| {
-            let s = e.service.borrow().admission_stats();
-            (s.shed_full, s.shed_deadline)
-        })
-    }
-
-    /// Peak in-flight depth (serving + waiting) reported by an
-    /// endpoint's service stack.
-    #[must_use]
-    pub fn depth_peak(&self, addr: &str) -> usize {
-        self.endpoints
-            .get(addr)
-            .map_or(0, |e| e.service.borrow().admission_stats().depth_peak)
-    }
-
-    /// Disables (or re-enables) event tracing — long open-loop sweeps
-    /// don't need the per-event transcript.
-    pub fn set_trace(&mut self, enabled: bool) {
-        self.trace_enabled = enabled;
-        if !enabled {
-            self.trace.clear();
-        }
-    }
-
-    /// The event trace so far: one line per scheduler decision, in
-    /// execution order (`t=<nanos> seq=<n> <kind> <endpoint> <path>`).
-    /// Byte-identical across same-seed runs.
-    #[must_use]
-    pub fn trace(&self) -> &[String] {
-        &self.trace
     }
 
     /// Injects one request at the current clock instant and runs the
@@ -753,20 +665,28 @@ impl Engine {
         std::mem::take(&mut self.completions)
     }
 
+    /// The service at `addr`, for a context that is running there.
+    /// Endpoints are never removed, so a context that was admitted at
+    /// `addr` always finds it.
+    fn service_of(&self, addr: &str) -> EngineServiceHandle {
+        self.endpoints
+            .get(addr)
+            .expect("a running context's endpoint stays registered")
+            .service
+            .clone()
+    }
+
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Event { at, seq, kind }));
     }
 
-    fn note(&mut self, at: SimTime, kind: &str, dest: &str, detail: &str) {
-        if self.trace_enabled {
-            self.trace.push(format!(
-                "t={} seq={} {kind} {dest} {detail}",
-                at.as_nanos(),
-                self.trace.len()
-            ));
-        }
+    /// Writes one scheduler note into the world's transcript (formatted
+    /// only while `env.log` is enabled; see [`trace_lines`]).
+    fn note(env: &mut Env, at: SimTime, kind: &str, dest: &str, detail: impl Display) {
+        env.log
+            .record(at, TRACE_CATEGORY, format_args!("{kind} {dest} {detail}"));
     }
 
     fn process(&mut self, env: &mut Env, ev: Event) {
@@ -781,26 +701,22 @@ impl Engine {
 
     fn on_arrive(&mut self, env: &mut Env, id: u64) {
         let now = env.clock.now();
-        let (dest, path, looped) = {
+        let (leg, looped) = {
             let ctx = self.ctxs.get(&id).expect("arriving context exists");
-            (
-                ctx.dest.clone(),
-                ctx.path.clone(),
-                ctx.ancestors.contains(&ctx.dest),
-            )
+            (ctx.leg(id), ctx.ancestors.contains(&ctx.dest))
         };
-        self.note(now, "arrive", &dest, &path);
+        let (dest, path) = (&leg.dest, &leg.path);
+        Self::note(env, now, "arrive", dest, path);
         if looped {
             let resp = HttpResponse::error(508, format!("call loop through {dest}"))
                 .with_header(ERROR_HEADER, "loop");
             self.push_event(now, EventKind::Deliver { ctx: id, resp });
             return;
         }
-        let Some(ep) = self.endpoints.get(&dest) else {
+        let Some(ep) = self.endpoints.get_mut(dest) else {
             // Roots get a distinct marker so `dispatch` can surface a hard
             // error; nested callers see an ordinary 502 they can map.
-            let is_root = self.ctxs.get(&id).is_some_and(|c| c.parent.is_none());
-            let marker = if is_root {
+            let marker = if leg.root {
                 "unknown-root"
             } else {
                 "unknown-endpoint"
@@ -812,25 +728,23 @@ impl Engine {
         };
         let service = ep.service.clone();
         let depth = ep.busy as usize + ep.waiting.len();
-        let leg = self.ctxs.get(&id).expect("arriving context").leg(id);
         match service.borrow_mut().on_arrive(env, &leg, depth) {
             Gate::Admit => {}
             Gate::Shed { resp, note } => {
                 // Shed at the door: no worker was taken, so no Release —
                 // the synthesized reply completes at the arrival instant.
-                self.note(now, note, &dest, &path);
+                Self::note(env, now, note, dest, path);
                 self.push_event(now, EventKind::Deliver { ctx: id, resp });
                 return;
             }
         }
         service.borrow_mut().on_admitted(env, &leg, depth + 1);
-        let ep = self.endpoints.get_mut(&dest).expect("endpoint exists");
         if ep.busy < ep.workers {
             ep.busy += 1;
             self.run_begin(env, id);
         } else {
             ep.waiting.push_back(id);
-            self.note(now, "queue", &dest, &path);
+            Self::note(env, now, "queue", dest, path);
             service.borrow_mut().on_queued(env, &leg);
         }
     }
@@ -839,36 +753,26 @@ impl Engine {
     /// worker (its endpoint's `busy` already counts it).
     fn run_begin(&mut self, env: &mut Env, id: u64) {
         let now = env.clock.now();
-        let (leg, dest, path, wait, req) = {
+        let (leg, wait, req) = {
             let ctx = self.ctxs.get_mut(&id).expect("beginning context exists");
             ctx.queued = now - ctx.arrived;
             let req = ctx.req.take().expect("request not yet started");
-            (
-                ctx.leg(id),
-                ctx.dest.clone(),
-                ctx.path.clone(),
-                ctx.queued,
-                req,
-            )
+            (ctx.leg(id), ctx.queued, req)
         };
-        let service = self
-            .endpoints
-            .get(&dest)
-            .expect("endpoint exists")
-            .service
-            .clone();
+        let service = self.service_of(&leg.dest);
         match service.borrow_mut().on_begin(env, &leg, wait) {
             Gate::Admit => {}
             Gate::Shed { resp, note } => {
                 // Shed at begin: the worker granted to this leg is
                 // released before the synthesized reply travels back.
-                self.note(now, note, &dest, &path);
-                self.push_event(now, EventKind::Release { dest: dest.clone() });
+                Self::note(env, now, note, &leg.dest, &leg.path);
+                let dest = leg.dest.clone();
+                self.push_event(now, EventKind::Release { dest });
                 self.push_event(now, EventKind::Deliver { ctx: id, resp });
                 return;
             }
         }
-        self.note(now, "begin", &dest, &path);
+        Self::note(env, now, "begin", &leg.dest, &leg.path);
         let step = service.borrow_mut().start(env, &leg, req);
         self.apply_step(env, id, step);
     }
@@ -878,7 +782,7 @@ impl Engine {
         match step {
             Step::Reply(resp) => {
                 let leg = self.ctxs.get(&id).expect("replying context").leg(id);
-                self.note(now, "reply", &leg.dest, &resp.status.to_string());
+                Self::note(env, now, "reply", &leg.dest, resp.status);
                 // The worker did its work regardless of what happens to
                 // the response in flight: release fires at `now`.
                 self.push_event(
@@ -887,31 +791,25 @@ impl Engine {
                         dest: leg.dest.clone(),
                     },
                 );
-                let action = match self.endpoints.get(&leg.dest) {
-                    Some(ep) => {
-                        let service = ep.service.clone();
-                        let a = service.borrow_mut().response_fate(env, &leg, resp.status);
-                        a
-                    }
-                    None => FaultAction::Deliver,
-                };
+                let service = self.service_of(&leg.dest);
+                let action = service.borrow_mut().response_fate(env, &leg, resp.status);
                 match action {
                     FaultAction::Deliver => {
                         self.push_event(now, EventKind::Deliver { ctx: id, resp });
                     }
                     FaultAction::Drop { timeout } => {
-                        self.note(now, "fault-drop", &leg.dest, &leg.path);
+                        Self::note(env, now, "fault-drop", &leg.dest, &leg.path);
                         let resp = HttpResponse::error(504, "injected response drop")
                             .with_header(FAULT_HEADER, "drop");
                         self.push_event(now + timeout, EventKind::Deliver { ctx: id, resp });
                     }
                     FaultAction::Delay(d) => {
-                        self.note(now, "fault-delay", &leg.dest, &leg.path);
+                        Self::note(env, now, "fault-delay", &leg.dest, &leg.path);
                         let resp = resp.with_header(FAULT_HEADER, "delay");
                         self.push_event(now + d, EventKind::Deliver { ctx: id, resp });
                     }
                     FaultAction::Error { status } => {
-                        self.note(now, "fault-5xx", &leg.dest, &leg.path);
+                        Self::note(env, now, "fault-5xx", &leg.dest, &leg.path);
                         let resp = HttpResponse::error(status, "injected upstream failure")
                             .with_header(FAULT_HEADER, "injected-5xx");
                         self.push_event(now, EventKind::Deliver { ctx: id, resp });
@@ -927,7 +825,7 @@ impl Engine {
                     chain.push(parent.dest.clone());
                     (chain, parent.tag, parent.submitted, parent.leg(id))
                 };
-                self.note(now, "callout", &dest, &req.path);
+                Self::note(env, now, "callout", &dest, &req.path);
                 let path = req.path.clone();
                 // A callout inherits the caller's priority class unless
                 // the outbound request re-marks itself — an emergency
@@ -948,17 +846,11 @@ impl Engine {
                 };
                 // The *caller's* stack observes the new leg and decides
                 // its request-leg fate — the callee may not even exist.
-                let parent_service = self
-                    .endpoints
-                    .get(&parent_leg.dest)
-                    .map(|ep| ep.service.clone());
-                let action = match parent_service {
-                    Some(service) => {
-                        let mut svc = service.borrow_mut();
-                        svc.on_callout(env, &parent_leg, &child_leg);
-                        svc.request_fate(env, &dest, &path)
-                    }
-                    None => FaultAction::Deliver,
+                let action = {
+                    let service = self.service_of(&parent_leg.dest);
+                    let mut svc = service.borrow_mut();
+                    svc.on_callout(env, &parent_leg, &child_leg);
+                    svc.request_fate(env, &dest, &path)
                 };
                 self.ctxs.insert(
                     child,
@@ -983,13 +875,13 @@ impl Engine {
                         // The request never reaches `dest`; the caller
                         // sits on its supervision timer and resumes with
                         // a synthesized 504.
-                        self.note(now, "fault-drop", &dest, &path);
+                        Self::note(env, now, "fault-drop", &dest, &path);
                         let resp = HttpResponse::error(504, "injected request drop")
                             .with_header(FAULT_HEADER, "drop");
                         self.push_event(now + timeout, EventKind::Deliver { ctx: child, resp });
                     }
                     FaultAction::Delay(d) => {
-                        self.note(now, "fault-delay", &dest, &path);
+                        Self::note(env, now, "fault-delay", &dest, &path);
                         // In-network delay is not queueing delay: move the
                         // arrival instant so admission deadlines measure
                         // only the wait at the endpoint.
@@ -997,7 +889,7 @@ impl Engine {
                         self.push_event(now + d, EventKind::Arrive { ctx: child });
                     }
                     FaultAction::Error { status } => {
-                        self.note(now, "fault-5xx", &dest, &path);
+                        Self::note(env, now, "fault-5xx", &dest, &path);
                         let resp = HttpResponse::error(status, "injected upstream failure")
                             .with_header(FAULT_HEADER, "injected-5xx");
                         self.push_event(now, EventKind::Deliver { ctx: child, resp });
@@ -1011,9 +903,10 @@ impl Engine {
     /// any. The waiter's `Begin` fires at `now` (same instant, later
     /// sequence number — deterministic).
     fn release_worker(&mut self, dest: &str, now: SimTime) {
-        let Some(ep) = self.endpoints.get_mut(dest) else {
-            return; // deregistered while the request was in flight
-        };
+        let ep = self
+            .endpoints
+            .get_mut(dest)
+            .expect("a worker is only held at a registered endpoint");
         ep.busy = ep.busy.saturating_sub(1);
         if let Some(next) = ep.waiting.pop_front() {
             ep.busy += 1;
@@ -1035,7 +928,7 @@ impl Engine {
         }
         match ctx.parent {
             None => {
-                self.note(now, "complete", &ctx.dest, &resp.status.to_string());
+                Self::note(env, now, "complete", &ctx.dest, resp.status);
                 self.completions.push(Completion {
                     tag: ctx.tag,
                     response: resp,
@@ -1045,33 +938,13 @@ impl Engine {
                 });
             }
             Some(link) => {
-                let parent_dest = self
-                    .ctxs
-                    .get(&link.ctx)
-                    .expect("parent context exists")
-                    .dest
-                    .clone();
-                self.note(now, "resume", &parent_dest, &ctx.path);
-                let Some(ep) = self.endpoints.get(&parent_dest) else {
-                    // Parent's endpoint was deregistered mid-flight: the
-                    // whole chain collapses with a synthesized error.
-                    let resp = HttpResponse::error(502, format!("unknown endpoint {parent_dest}"))
-                        .with_header(ERROR_HEADER, "unknown-endpoint");
-                    self.push_event(
-                        now,
-                        EventKind::Deliver {
-                            ctx: link.ctx,
-                            resp,
-                        },
-                    );
-                    return;
-                };
-                let service = ep.service.clone();
                 let parent_leg = self
                     .ctxs
                     .get(&link.ctx)
                     .expect("parent context exists")
                     .leg(link.ctx);
+                Self::note(env, now, "resume", &parent_leg.dest, &ctx.path);
+                let service = self.service_of(&parent_leg.dest);
                 let step = service
                     .borrow_mut()
                     .resume(env, &parent_leg, link.state, resp);
@@ -1223,29 +1096,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn set_policy_reports_unhandled_policies() {
-        // A pure scheduler has nowhere to put a policy: routing one to an
-        // unknown address or to a bare (stackless) service must say so
-        // instead of silently half-working.
-        let mut engine = engine_with_echo(1, 1_000);
-        let policy = AdmissionPolicy {
-            capacity: Some(4),
-            deadline: None,
-        };
-        assert!(!engine.set_policy("ghost", policy));
-        assert!(!engine.set_policy("echo", policy));
-        assert_eq!(engine.shed_counts("echo"), (0, 0));
-        assert_eq!(engine.depth_peak("echo"), 0);
-    }
-
     /// A service whose hooks shed by script: first `shed_at_arrive`
     /// arrivals at the door, then `shed_at_begin` at worker grant.
     struct SheddingEcho {
         nanos: u64,
         shed_at_arrive: u32,
         shed_at_begin: u32,
-        stats: AdmissionStats,
     }
 
     impl EngineService for SheddingEcho {
@@ -1267,7 +1123,6 @@ mod tests {
         fn on_arrive(&mut self, _env: &mut Env, _leg: &LegMeta, _depth: usize) -> Gate {
             if self.shed_at_arrive > 0 {
                 self.shed_at_arrive -= 1;
-                self.stats.shed_full += 1;
                 return Gate::Shed {
                     resp: HttpResponse::error(503, "admission queue full")
                         .with_header(SHED_HEADER, "queue-full"),
@@ -1280,7 +1135,6 @@ mod tests {
         fn on_begin(&mut self, _env: &mut Env, _leg: &LegMeta, _waited: SimDuration) -> Gate {
             if self.shed_at_begin > 0 {
                 self.shed_at_begin -= 1;
-                self.stats.shed_deadline += 1;
                 return Gate::Shed {
                     resp: HttpResponse::error(503, "admission deadline exceeded")
                         .with_header(SHED_HEADER, "deadline"),
@@ -1288,10 +1142,6 @@ mod tests {
                 };
             }
             Gate::Admit
-        }
-
-        fn admission_stats(&self) -> AdmissionStats {
-            self.stats
         }
     }
 
@@ -1306,7 +1156,6 @@ mod tests {
                 nanos: 10_000,
                 shed_at_arrive: 1,
                 shed_at_begin: 0,
-                stats: AdmissionStats::default(),
             })),
         );
         let t0 = env.clock.now();
@@ -1319,7 +1168,7 @@ mod tests {
         // no worker was consumed so the other request ran immediately.
         assert_eq!(shed[0].finished, shed[0].submitted);
         assert_eq!(shed[0].response.status, 503);
-        assert_eq!(engine.shed_counts("echo"), (1, 0));
+        assert_eq!(shed[0].response.header(SHED_HEADER), Some("queue-full"));
         let served = done.iter().find(|c| !c.shed()).unwrap();
         assert_eq!(served.queued, SimDuration::ZERO);
     }
@@ -1335,7 +1184,6 @@ mod tests {
                 nanos: 10_000,
                 shed_at_begin: 1,
                 shed_at_arrive: 0,
-                stats: AdmissionStats::default(),
             })),
         );
         let t0 = env.clock.now();
@@ -1345,8 +1193,9 @@ mod tests {
         let done = engine.run_until_idle(&mut env);
         // The first grant is shed and its worker released, so the other
         // two still serialize through the single worker.
-        assert_eq!(done.iter().filter(|c| c.shed()).count(), 1);
-        assert_eq!(engine.shed_counts("echo"), (0, 1));
+        let shed: Vec<_> = done.iter().filter(|c| c.shed()).collect();
+        assert_eq!(shed.len(), 1);
+        assert_eq!(shed[0].response.header(SHED_HEADER), Some("deadline"));
         let mut served: Vec<SimDuration> = done
             .iter()
             .filter(|c| !c.shed())
@@ -1379,6 +1228,7 @@ mod tests {
     fn trace_is_deterministic_per_seed() {
         let run = |seed: u64| {
             let mut env = Env::new(seed);
+            env.log.enable();
             let mut engine = engine_with_echo(2, 7_000);
             engine.register(
                 "front",
@@ -1395,21 +1245,93 @@ mod tests {
                 );
             }
             engine.run_until_idle(&mut env);
-            engine.trace().join("\n")
+            trace_lines(&env.log)
         };
-        assert_eq!(run(11), run(11));
+        let trace = run(11);
+        assert_eq!(trace.len(), 28, "{trace:#?}");
+        assert_eq!(trace[0], "t=0 seq=0 arrive front /x");
+        assert_eq!(trace, run(11));
     }
 
     #[test]
-    fn deregistered_endpoint_mid_topology_fails_closed() {
-        let mut env = Env::new(10);
+    fn trace_is_off_until_the_log_is_enabled() {
+        let mut env = Env::new(12);
         let mut engine = engine_with_echo(1, 1_000);
-        assert!(engine.deregister("echo"));
-        assert!(!engine.deregister("echo"));
-        assert!(!engine.knows("echo"));
-        let err = engine
-            .dispatch(&mut env, "echo", HttpRequest::get("/"))
-            .unwrap_err();
-        assert!(matches!(err, SimError::UnknownEndpoint(_)));
+        engine
+            .dispatch(&mut env, "echo", HttpRequest::get("/a"))
+            .unwrap();
+        assert!(env.log.is_empty());
+        env.log.enable();
+        env.log.record(
+            env.clock.now(),
+            "narration",
+            format_args!("not a trace line"),
+        );
+        engine
+            .dispatch(&mut env, "echo", HttpRequest::get("/b"))
+            .unwrap();
+        let now = env.clock.now().as_nanos();
+        let begin = now - 1_000;
+        assert_eq!(
+            trace_lines(&env.log),
+            [
+                format!("t={begin} seq=0 arrive echo /b"),
+                format!("t={begin} seq=1 begin echo /b"),
+                format!("t={now} seq=2 reply echo 200"),
+                format!("t={now} seq=3 complete echo 200"),
+            ]
+        );
+    }
+
+    /// A leaf whose service time is the little-endian `u64` nanosecond
+    /// count in the request body.
+    struct ScriptedService;
+
+    impl Service for ScriptedService {
+        fn handle(&mut self, env: &mut Env, req: HttpRequest) -> HttpResponse {
+            let nanos = u64::from_le_bytes(req.body[..8].try_into().unwrap());
+            env.clock.advance(SimDuration::from_nanos(nanos));
+            HttpResponse::ok(Vec::new())
+        }
+    }
+
+    proptest::proptest! {
+        /// **Exact oracle.** On a single-worker FIFO endpoint every
+        /// request's queueing delay is the Lindley recursion over the
+        /// same trace: W₀ = 0, W₍ₙ₊₁₎ = max(0, Wₙ + Sₙ − Aₙ₊₁), with Sₙ
+        /// the service time of request n and Aₙ₊₁ the gap between
+        /// arrivals n and n+1 (zero gaps included: FIFO breaks ties).
+        #[test]
+        fn single_worker_fifo_queueing_is_lindley(
+            raw_gaps in proptest::collection::vec(0u64..50_000, 1..64),
+            services in proptest::collection::vec(1u64..40_000, 1..64),
+        ) {
+            let mut env = Env::new(13);
+            let mut engine = Engine::new();
+            engine.register("fifo", 1, Engine::leaf(service_handle(ScriptedService)));
+            // About one gap in ten is zero: simultaneous arrivals.
+            let gaps: Vec<u64> = raw_gaps
+                .iter()
+                .map(|&g| if g < 5_000 { 0 } else { g })
+                .collect();
+            let mut at = env.clock.now();
+            let mut tags = Vec::new();
+            for (gap, service) in gaps.iter().zip(&services) {
+                at += SimDuration::from_nanos(*gap);
+                let req = HttpRequest::post("/w", service.to_le_bytes().to_vec());
+                tags.push(engine.schedule_request(at, "fifo", req));
+            }
+            let mut done = engine.run_until_idle(&mut env);
+            done.sort_by_key(|c| c.tag);
+            proptest::prop_assert_eq!(done.len(), tags.len());
+            let mut wait = 0u64;
+            for (n, c) in done.iter().enumerate() {
+                if n > 0 {
+                    wait = (wait + services[n - 1]).saturating_sub(gaps[n]);
+                }
+                proptest::prop_assert_eq!(c.tag, tags[n]);
+                proptest::prop_assert_eq!(c.queued, SimDuration::from_nanos(wait));
+            }
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! * [`time`] — `SimTime` / `SimDuration` newtypes (nanosecond precision).
 //! * [`clock`] — the shared virtual clock.
 //! * [`rng`] — a fork-able deterministic RNG.
-//! * [`log`] — a structured event log for traceability.
+//! * [`log`] — the world's structured event log: one transcript, off
+//!   until enabled, that also carries the engine trace.
 //! * [`latency`] — link profiles (docker bridge, loopback, 5G radio).
 //! * [`http`] — byte-accurate REST/HTTP framing for the service-based
 //!   interfaces (message sizes drive the paper's L_T results).
@@ -23,7 +24,8 @@
 //! * [`engine`] — the deterministic discrete-event scheduler: every
 //!   network call is an event on a `(virtual_time, seq)`-ordered queue,
 //!   services yield at outbound-call points, and per-endpoint worker
-//!   pools make queueing and admission shedding emerge mechanistically.
+//!   pools make queueing emerge mechanistically (admission shedding is
+//!   a `shield5g-mw` layer on the scheduler's hooks).
 //!
 //! # Example
 //!

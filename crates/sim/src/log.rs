@@ -1,11 +1,13 @@
-//! Structured event log.
+//! Structured event log: the world's one transcript.
 //!
 //! Records what happened on the virtual timeline — AKA steps, enclave
-//! transitions, attacker actions — for debugging, assertions in tests, and
-//! the narrative output of the examples.
+//! transitions, attacker actions, and the engine's scheduler decisions
+//! (category [`crate::engine::TRACE_CATEGORY`]) — for debugging,
+//! assertions in tests, and the narrative output of the examples.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One logged event.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -20,16 +22,18 @@ pub struct Event {
 
 /// An append-only event log with an on/off switch.
 ///
-/// Logging defaults to enabled; mass experiments disable it to avoid
-/// allocating millions of strings.
+/// Recording starts off, so a long run keeps no transcript and pays
+/// nothing for one: [`EventLog::record`] takes its message as
+/// [`fmt::Arguments`] and formats it only while the log is enabled.
+/// Readers of the transcript call [`EventLog::enable`] first.
 #[derive(Clone, Debug, Default)]
 pub struct EventLog {
     events: Vec<Event>,
-    disabled: bool,
+    enabled: bool,
 }
 
 impl EventLog {
-    /// Creates an empty, enabled log.
+    /// Creates an empty, disabled log.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -37,21 +41,22 @@ impl EventLog {
 
     /// Stops recording (already-recorded events are kept).
     pub fn disable(&mut self) {
-        self.disabled = true;
+        self.enabled = false;
     }
 
-    /// Resumes recording.
+    /// Starts (or resumes) recording.
     pub fn enable(&mut self) {
-        self.disabled = false;
+        self.enabled = true;
     }
 
-    /// Records an event (no-op while disabled).
-    pub fn record(&mut self, at: SimTime, category: &'static str, message: impl Into<String>) {
-        if !self.disabled {
+    /// Records an event; while disabled, a no-op that never formats
+    /// `message`.
+    pub fn record(&mut self, at: SimTime, category: &'static str, message: fmt::Arguments<'_>) {
+        if self.enabled {
             self.events.push(Event {
                 at,
                 category,
-                message: message.into(),
+                message: fmt::format(message),
             });
         }
     }
@@ -90,21 +95,28 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    fn enabled() -> EventLog {
+        let mut log = EventLog::new();
+        log.enable();
+        log
+    }
 
     #[test]
     fn records_in_order() {
-        let mut log = EventLog::new();
-        log.record(SimTime::from_nanos(1), "aka", "start");
-        log.record(SimTime::from_nanos(2), "aka", "finish");
+        let mut log = enabled();
+        log.record(SimTime::from_nanos(1), "aka", format_args!("start"));
+        log.record(SimTime::from_nanos(2), "aka", format_args!("finish"));
         assert_eq!(log.len(), 2);
         assert_eq!(log.events()[0].message, "start");
     }
 
     #[test]
     fn category_filter() {
-        let mut log = EventLog::new();
-        log.record(SimTime::ZERO, "aka", "challenge");
-        log.record(SimTime::ZERO, "enclave", "eenter");
+        let mut log = enabled();
+        log.record(SimTime::ZERO, "aka", format_args!("challenge"));
+        log.record(SimTime::ZERO, "enclave", format_args!("eenter"));
         assert_eq!(log.in_category("enclave").count(), 1);
         assert!(log.contains("aka", "chall"));
         assert!(!log.contains("aka", "eenter"));
@@ -113,13 +125,38 @@ mod tests {
     #[test]
     fn disable_suppresses_recording() {
         let mut log = EventLog::new();
-        log.record(SimTime::ZERO, "a", "kept");
+        log.record(SimTime::ZERO, "a", format_args!("dropped"));
+        assert!(log.is_empty());
+        log.enable();
+        log.record(SimTime::ZERO, "a", format_args!("kept"));
         log.disable();
-        log.record(SimTime::ZERO, "a", "dropped");
+        log.record(SimTime::ZERO, "a", format_args!("dropped"));
         assert_eq!(log.len(), 1);
         log.enable();
-        log.record(SimTime::ZERO, "a", "kept2");
+        log.record(SimTime::ZERO, "a", format_args!("kept2"));
         assert_eq!(log.len(), 2);
+    }
+
+    /// Counts how often it is formatted.
+    struct Counted<'a>(&'a Cell<u32>);
+
+    impl fmt::Display for Counted<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.set(self.0.get() + 1);
+            f.write_str("x")
+        }
+    }
+
+    #[test]
+    fn disabled_log_never_formats() {
+        let formatted = Cell::new(0);
+        let mut log = EventLog::new();
+        log.record(SimTime::ZERO, "a", format_args!("{}", Counted(&formatted)));
+        assert_eq!(formatted.get(), 0);
+        log.enable();
+        log.record(SimTime::ZERO, "a", format_args!("{}", Counted(&formatted)));
+        assert_eq!(formatted.get(), 1);
+        assert_eq!(log.events()[0].message, "x");
     }
 
     #[test]

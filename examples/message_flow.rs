@@ -1,5 +1,7 @@
 //! Narrated message flow: one registration through the SGX slice with
-//! the event log enabled — the paper's Figure 5 sequence, live.
+//! the event log enabled — the paper's Figure 5 sequence, live. The
+//! narration skips the engine's own scheduler notes, which share the
+//! log (see `shield5g::sim::engine::trace_lines`).
 //!
 //! ```sh
 //! cargo run --release --example message_flow
@@ -9,11 +11,13 @@ use shield5g::core::harness::concurrency_sweep;
 use shield5g::core::paka::SgxConfig;
 use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig};
 use shield5g::ran::gnbsim::GnbSim;
+use shield5g::sim::engine::TRACE_CATEGORY;
 use shield5g::sim::Env;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== one UE registration, narrated (paper Fig. 5) ==\n");
     let mut env = Env::new(555);
+    env.log.enable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -25,7 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mark = env.log.len();
     sim.register_ues(&mut env, &slice, 1)?;
 
-    for event in &env.log.events()[mark..] {
+    for event in env.log.events()[mark..]
+        .iter()
+        .filter(|e| e.category != TRACE_CATEGORY)
+    {
         println!(
             "  {:>12}  [{:8}] {}",
             event.at.to_string(),

@@ -18,7 +18,6 @@ use shield5g::sim::Env;
 fn main() {
     println!("== slice migration: eUDM enclave, host r450 -> r451 ==\n");
     let mut env = Env::new(4321);
-    env.log.disable();
     let mut slice = build_slice(
         &mut env,
         &SliceConfig {

@@ -45,12 +45,17 @@ cargo build --offline --workspace
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
-echo "==> build the criterion micro benches and perfbench (never run by the gate otherwise)"
+echo "==> build the criterion micro benches and perfbench, then self-test perfbench"
 # Both call the crypto primitives (Aes128, Sha256) and the enclave vault
-# directly, so an API change that breaks them must fail here.
+# directly, so an API change that breaks them must fail here. Perfbench
+# also drives the pool, the middleware layers and the engine through
+# their public APIs; its short-mode self-test (about 5 s) checks that
+# every workload still runs correct with no failed operation and
+# repeats its simulated metrics exactly.
 cargo bench --offline --no-run -p shield5g-bench --features criterion \
   --bench micro_crypto --bench micro_enclave
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+python3 perfbench/selftest.py
 
 echo "==> bench smoke (pool_scaling + ablation_optimizations + fault_sweep + degradation_sweep, one rep)"
 # Absolute SHIELD5G_OBS_DIR (exported above): cargo runs bench binaries

@@ -5,6 +5,7 @@ use shield5g::core::harness::{measure_lf_lt, measure_response_times, ModuleDeplo
 use shield5g::core::paka::{PakaKind, SgxConfig};
 use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig};
 use shield5g::ran::gnbsim::GnbSim;
+use shield5g::sim::engine::trace_lines;
 use shield5g::sim::Env;
 
 #[test]
@@ -36,6 +37,7 @@ fn different_seed_different_samples() {
 fn same_seed_same_registration_transcript() {
     let run = |seed: u64| {
         let mut env = Env::new(seed);
+        env.log.enable();
         let slice = build_slice(
             &mut env,
             &SliceConfig {
@@ -61,7 +63,7 @@ fn same_seed_same_registration_transcript() {
 /// the byte-exact event log.
 fn engine_trace_of(seed: u64) -> Vec<String> {
     let mut env = Env::new(seed);
-    env.log.disable();
+    env.log.enable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -70,11 +72,9 @@ fn engine_trace_of(seed: u64) -> Vec<String> {
         },
     )
     .unwrap();
-    slice.engine.borrow_mut().set_trace(true);
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 2).unwrap();
-    let trace = slice.engine.borrow().trace().to_vec();
-    trace
+    trace_lines(&env.log)
 }
 
 #[test]
@@ -130,7 +130,7 @@ fn overload_layers_disarmed_are_trace_invisible() {
     // draw randomness nor reshape the schedule — the seed-300 trace
     // stays byte-identical to the pre-overload golden file.
     let mut env = Env::new(300);
-    env.log.disable();
+    env.log.enable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -139,10 +139,9 @@ fn overload_layers_disarmed_are_trace_invisible() {
         },
     )
     .unwrap();
-    slice.engine.borrow_mut().set_trace(true);
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 2).unwrap();
-    let trace = slice.engine.borrow().trace().to_vec();
+    let trace = trace_lines(&env.log);
 
     // Not vacuous: the breaker really sampled the slice's outbound legs…
     let breaker = slice.breaker.borrow();
@@ -177,7 +176,7 @@ fn different_seed_diverging_engine_event_log() {
 /// on the slice engine before the registrations run.
 fn faulted_trace_of(seed: u64, cfg: shield5g::faults::FaultConfig) -> Vec<String> {
     let mut env = Env::new(seed);
-    env.log.disable();
+    env.log.enable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -186,12 +185,10 @@ fn faulted_trace_of(seed: u64, cfg: shield5g::faults::FaultConfig) -> Vec<String
         },
     )
     .unwrap();
-    slice.engine.borrow_mut().set_trace(true);
     let _ = shield5g::faults::SbiFaultPlan::install(&slice.fault_switch, &mut env, cfg);
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 2).unwrap();
-    let trace = slice.engine.borrow().trace().to_vec();
-    trace
+    trace_lines(&env.log)
 }
 
 /// A delay-only plan: every leg has a 50% chance of arriving late, which

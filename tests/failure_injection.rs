@@ -9,12 +9,23 @@ use shield5g::hmee::seal::{seal, SealPolicy};
 use shield5g::nf::addr;
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::RanError;
+use shield5g::sim::engine::Engine;
+use shield5g::sim::http::{HttpRequest, HttpResponse};
+use shield5g::sim::service::{service_handle, Service};
 use shield5g::sim::Env;
+
+/// A network function whose host is gone: every request fails.
+struct Unavailable;
+
+impl Service for Unavailable {
+    fn handle(&mut self, _env: &mut Env, _req: HttpRequest) -> HttpResponse {
+        HttpResponse::error(503, "host down")
+    }
+}
 
 #[test]
 fn ausf_outage_rejects_registrations_cleanly() {
     let mut env = Env::new(201);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -23,8 +34,12 @@ fn ausf_outage_rejects_registrations_cleanly() {
         },
     )
     .unwrap();
-    // Take the AUSF down mid-operation.
-    assert!(slice.engine.borrow_mut().deregister(addr::AUSF));
+    // Take the AUSF down mid-operation: its address now answers every
+    // request with a transport-level 503.
+    slice
+        .engine
+        .borrow_mut()
+        .register(addr::AUSF, 1, Engine::leaf(service_handle(Unavailable)));
     let mut sim = GnbSim::new(&slice);
     let mut ue = sim.ue_for(&slice, 0);
     let result = ue.register(&mut env, sim.gnb_mut());
@@ -39,7 +54,6 @@ fn ausf_outage_rejects_registrations_cleanly() {
 #[test]
 fn module_outage_mid_sequence_recovers_on_redeploy() {
     let mut env = Env::new(202);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -168,7 +182,6 @@ fn sealed_provisioning_end_to_end_and_failure_modes() {
 #[test]
 fn guti_re_registration_skips_suci_and_succeeds() {
     let mut env = Env::new(207);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -191,7 +204,6 @@ fn guti_re_registration_skips_suci_and_succeeds() {
 #[test]
 fn guti_re_registration_without_prior_registration_fails() {
     let mut env = Env::new(208);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -211,7 +223,6 @@ fn guti_re_registration_without_prior_registration_fails() {
 #[test]
 fn stale_guti_after_amf_restart_recovers_via_identity_request() {
     let mut env = Env::new(209);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -225,7 +236,6 @@ fn stale_guti_after_amf_restart_recovers_via_identity_request() {
     ue.register(&mut env, sim.gnb_mut()).unwrap();
     // "Restart" the AMF: a new world with empty GUTI maps.
     let mut env2 = Env::new(210);
-    env2.log.disable();
     let slice2 = build_slice(
         &mut env2,
         &SliceConfig {
@@ -252,7 +262,6 @@ fn stale_guti_after_amf_restart_recovers_via_identity_request() {
 #[test]
 fn amf_survives_nas_garbage_without_panicking() {
     let mut env = Env::new(211);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {

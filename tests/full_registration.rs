@@ -6,12 +6,12 @@ use shield5g::core::slice::{build_slice, AkaDeployment, SliceConfig};
 use shield5g::ran::gnbsim::GnbSim;
 use shield5g::ran::ota::OtaTestbed;
 use shield5g::ran::RanError;
+use shield5g::sim::engine::trace_lines;
 use shield5g::sim::time::SimDuration;
 use shield5g::sim::Env;
 
 fn world(deployment: AkaDeployment, seed: u64) -> (Env, shield5g::core::slice::Slice) {
     let mut env = Env::new(seed);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -235,11 +235,10 @@ fn fig5_sequence_flows_through_the_engine() {
     // engine trace is the ground truth: if any NF called another NF
     // directly, its hop would be missing here.
     let (mut env, slice) = world(AkaDeployment::Sgx(SgxConfig::default()), 12);
-    slice.engine.borrow_mut().set_trace(true);
+    env.log.enable();
     let mut sim = GnbSim::new(&slice);
     sim.register_ues(&mut env, &slice, 1).unwrap();
-    let engine = slice.engine.borrow();
-    let trace = engine.trace();
+    let trace = trace_lines(&env.log);
     let pos = |needle: &str| {
         trace
             .iter()
@@ -273,6 +272,7 @@ fn fig5_sequence_flows_through_the_engine() {
 #[test]
 fn event_log_narrates_the_flow() {
     let mut env = Env::new(9);
+    env.log.enable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {

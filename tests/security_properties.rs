@@ -14,7 +14,6 @@ fn attacked_slice(
     seed: u64,
 ) -> (Env, shield5g::core::slice::Slice, Attacker) {
     let mut env = Env::new(seed);
-    env.log.disable();
     let mut slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -99,7 +98,6 @@ fn derived_session_keys_also_protected() {
 #[test]
 fn bridge_traffic_is_ciphertext_even_for_the_root_attacker() {
     let mut env = Env::new(15);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -139,7 +137,6 @@ fn tampering_with_enclave_state_fails_closed() {
 #[test]
 fn attestation_gates_deployment_to_genuine_enclaves() {
     let mut env = Env::new(17);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -172,7 +169,6 @@ fn attested_tls_binding_gates_the_offload_channel() {
     // provisioning / TLS establishment. An SGX module quotes its TLS key;
     // a container module cannot quote at all.
     let mut env = Env::new(19);
-    env.log.disable();
     let slice = build_slice(
         &mut env,
         &SliceConfig {
@@ -192,7 +188,6 @@ fn attested_tls_binding_gates_the_offload_channel() {
 
     // Container module: no enclave, no quote.
     let mut env2 = Env::new(20);
-    env2.log.disable();
     let slice2 = build_slice(
         &mut env2,
         &SliceConfig {
